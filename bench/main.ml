@@ -485,8 +485,8 @@ let section_sim () =
     }
   in
   (* split-stream seeds, exactly like Replicate.run *)
-  let master = Urs_prob.Rng.create 2024 in
-  let seeds = Array.init 4 (fun _ -> Urs_prob.Rng.split_seed master) in
+  let master = Urs_prob.Pcg.create 2024 in
+  let seeds = Array.init 4 (fun _ -> Urs_prob.Pcg.split_seed master) in
   let events_total () =
     Option.value ~default:0.0 (Metrics.value "urs_sim_events_total")
   in

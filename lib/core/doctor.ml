@@ -619,12 +619,12 @@ let drift_noise = 0.05
 let drift_step_at = 20
 
 let drift_series ~seed ~n ~step_at ~step =
-  let rng = Urs_prob.Rng.create seed in
+  let rng = Urs_prob.Pcg.create seed in
   let xs = Array.make n 0.0 in
   for i = 0 to n - 1 do
     let level = if i >= step_at then step else 1.0 in
     (* multiplicative noise around the spectral solver's ~2.6 ms scale *)
-    xs.(i) <- 0.0026 *. level *. exp (drift_noise *. Urs_prob.Rng.normal rng)
+    xs.(i) <- 0.0026 *. level *. exp (drift_noise *. Urs_prob.Pcg.normal rng)
   done;
   xs
 

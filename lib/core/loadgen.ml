@@ -212,13 +212,13 @@ let run ?(addr = "127.0.0.1") ?(timeout_s = 5.0) ?(seed = 1) ?(meth = "GET")
     | Closed { think_s; _ } ->
         fun i () -> closed_worker ~deadline ~think_s ~shoot per_worker.(i) hist
     | Open { rate; _ } ->
-        let rng = Urs_prob.Rng.create seed in
+        let rng = Urs_prob.Pcg.create seed in
         let lock = Mutex.create () in
-        let next = ref (t0 +. Urs_prob.Rng.exponential rng rate) in
+        let next = ref (t0 +. Urs_prob.Pcg.exponential rng rate) in
         let schedule () =
           Mutex.lock lock;
           let at = !next in
-          next := at +. Urs_prob.Rng.exponential rng rate;
+          next := at +. Urs_prob.Pcg.exponential rng rate;
           Mutex.unlock lock;
           if at > deadline then None else Some at
         in

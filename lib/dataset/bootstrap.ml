@@ -1,6 +1,6 @@
 module H2 = Urs_prob.Hyperexponential
 module Fit = Urs_prob.Fit
-module Rng = Urs_prob.Rng
+module Pcg = Urs_prob.Pcg
 
 type interval = { estimate : float; lo : float; hi : float }
 
@@ -20,7 +20,7 @@ let fit_of samples =
 
 let resample rng samples =
   let n = Array.length samples in
-  Array.init n (fun _ -> samples.(Rng.int rng n))
+  Array.init n (fun _ -> samples.(Pcg.int rng n))
 
 let percentile_interval ~confidence ~estimate values =
   let q = Urs_stats.Empirical.quantile values in
@@ -34,7 +34,7 @@ let h2_fit ?(replicates = 200) ?(confidence = 0.95) ?(seed = 1) samples =
   match fit_of samples with
   | Error e -> Error e
   | Ok base ->
-      let rng = Rng.create seed in
+      let rng = Pcg.create seed in
       let w1s = ref [] and r1s = ref [] and r2s = ref [] in
       let means = ref [] and scvs = ref [] in
       let ok = ref 0 and failed = ref 0 in

@@ -1,5 +1,6 @@
 module D = Urs_prob.Distribution
-module Rng = Urs_prob.Rng
+module Pcg = Urs_prob.Pcg
+module Sampler = Urs_prob.Sampler
 
 type config = {
   rows : int;
@@ -29,21 +30,23 @@ let generate cfg =
   if cfg.servers < 1 then invalid_arg "Generate.generate: servers must be >= 1";
   if cfg.anomaly_fraction < 0.0 || cfg.anomaly_fraction >= 1.0 then
     invalid_arg "Generate.generate: anomaly_fraction in [0,1)";
-  let rng = Rng.create cfg.seed in
+  let rng = Pcg.create cfg.seed in
+  let operative = Sampler.compile cfg.operative in
+  let inoperative = Sampler.compile cfg.inoperative in
   (* per-server clocks; each server starts mid-life with an operative
      period, then its first logged event is its first breakdown *)
   let clocks =
-    Array.init cfg.servers (fun _ -> D.sample cfg.operative rng)
+    Array.init cfg.servers (fun _ -> Sampler.sample operative rng)
   in
   let events =
     Array.init cfg.rows (fun _ ->
-        let sid = Rng.int rng cfg.servers in
+        let sid = Pcg.int rng cfg.servers in
         let event_time = clocks.(sid) in
-        let outage = D.sample cfg.inoperative rng in
-        let next_operative = D.sample cfg.operative rng in
+        let outage = Sampler.sample inoperative rng in
+        let next_operative = Sampler.sample operative rng in
         clocks.(sid) <- event_time +. outage +. next_operative;
         let tbe = outage +. next_operative in
-        if Rng.float rng < cfg.anomaly_fraction then
+        if Pcg.float rng < cfg.anomaly_fraction then
           (* corrupted row: the recorded time-between-events is an
              impossible fraction of the outage (e.g. clock skew between
              monitoring agents) *)
@@ -51,7 +54,7 @@ let generate cfg =
             Event.server_id = sid;
             event_time;
             outage_duration = outage;
-            time_between_events = outage *. Rng.float rng;
+            time_between_events = outage *. Pcg.float rng;
           }
         else
           {

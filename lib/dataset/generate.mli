@@ -25,4 +25,7 @@ val default : config
     seed 2006. *)
 
 val generate : config -> Event.t array
-(** Deterministic in [config.seed]. *)
+(** Deterministic in [config.seed]: every draw comes from one
+    {!Urs_prob.Pcg} stream keyed by it, through the laws compiled once
+    with {!Urs_prob.Sampler}, the same sampling code the simulator
+    uses. *)

@@ -2,12 +2,13 @@
    current span, and the sampling decision, carried ambiently per domain
    and explicitly across domain (and process) boundaries.
 
-   The id generator is a private splitmix64 stream (not Urs_prob.Rng —
-   that would invert the library layering) behind a mutex: ids are drawn
-   once per span or request, never in a hot loop. Seeding it makes every
-   id deterministic, which is what the test goldens rely on; unseeded,
-   the first draw mixes wall clock and pid so concurrent processes get
-   distinct traces. *)
+   The id generator is a private splitmix64 stream behind a mutex, not
+   Urs_prob.Pcg: W3C trace and span ids need full 64-bit draws (Pcg
+   yields 62 bits), and the test goldens pin the hex this stream
+   produces. Ids are drawn once per span or request, never in a hot
+   loop. Seeding it makes every id deterministic; unseeded, the first
+   draw mixes wall clock and pid so concurrent processes get distinct
+   traces. *)
 
 type t = {
   trace_hi : int64;

@@ -264,31 +264,6 @@ let wait_since ?kind ?limit ~seq ~timeout_s () =
   in
   go ()
 
-(* ---- reading ---- *)
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc lineno =
-            match input_line ic with
-            | exception End_of_file -> Ok (List.rev acc)
-            | "" -> go acc (lineno + 1)
-            | line -> (
-                match Json.of_string line with
-                | Error msg ->
-                    Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-                | Ok j -> (
-                    match of_json j with
-                    | Error msg ->
-                        Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-                    | Ok r -> go (r :: acc) (lineno + 1)))
-          in
-          go [] 1)
-
 (* ---- streaming reads ---- *)
 
 type fold_stats = { malformed : int; seeked_records : int }

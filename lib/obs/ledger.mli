@@ -121,12 +121,6 @@ val to_json : record -> Json.t
 
 val of_json : Json.t -> (record, string) result
 
-val read_file : string -> (record list, string) result
-(** Parse a JSONL journal back into records; [Error] carries the path,
-    line number and reason of the first malformed line. Prefer
-    {!fold_file} for anything user-facing: a journal with a torn tail
-    (a crashed writer) should cost one warning, not the whole read. *)
-
 type fold_stats = {
   malformed : int;
       (** Lines that did not parse as records (torn tail, corruption)

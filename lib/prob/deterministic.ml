@@ -23,6 +23,4 @@ let quantile d p =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Deterministic.quantile: p in (0,1)";
   d.value
 
-let sample d _ = d.value
-
 let pp ppf d = Format.fprintf ppf "Det(%g)" d.value

@@ -20,5 +20,4 @@ val cdf : t -> float -> float
 (** Step function at the value. *)
 
 val quantile : t -> float -> float
-val sample : t -> Rng.t -> float
 val pp : Format.formatter -> t -> unit

@@ -103,17 +103,6 @@ let quantile t p =
   | Lognormal d -> Lognormal.quantile d p
   | Phase_type d -> Phase_type.quantile d p
 
-let sample t g =
-  match t with
-  | Exponential d -> Exponential.sample d g
-  | Hyperexponential d -> Hyperexponential.sample d g
-  | Erlang d -> Erlang.sample d g
-  | Deterministic d -> Deterministic.sample d g
-  | Uniform d -> Uniform_d.sample d g
-  | Weibull d -> Weibull.sample d g
-  | Lognormal d -> Lognormal.sample d g
-  | Phase_type d -> Phase_type.sample d g
-
 let as_hyperexponential = function
   | Exponential d ->
       Some

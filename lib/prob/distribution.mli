@@ -44,7 +44,6 @@ val pdf : t -> float -> float
     distribution has no density). *)
 
 val quantile : t -> float -> float
-val sample : t -> Rng.t -> float
 
 val as_hyperexponential : t -> Hyperexponential.t option
 (** The hyperexponential view used by the analytical solver:

@@ -54,12 +54,4 @@ let quantile d p =
   done;
   0.5 *. (!lo +. !hi)
 
-let sample d g =
-  (* product of uniforms avoids k calls to log *)
-  let prod = ref 1.0 in
-  for _ = 1 to d.k do
-    prod := !prod *. Rng.float_pos g
-  done;
-  -.log !prod /. d.rate
-
 let pp ppf d = Format.fprintf ppf "Erlang(k=%d,rate=%g)" d.k d.rate

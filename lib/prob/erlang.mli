@@ -22,5 +22,4 @@ val cdf : t -> float -> float
 (** Via the regularized incomplete gamma function. *)
 
 val quantile : t -> float -> float
-val sample : t -> Rng.t -> float
 val pp : Format.formatter -> t -> unit

@@ -29,6 +29,4 @@ let quantile d p =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Exponential.quantile: p in (0,1)";
   -.log (1.0 -. p) /. d.rate
 
-let sample d g = Rng.exponential g d.rate
-
 let pp ppf d = Format.fprintf ppf "Exp(rate=%g)" d.rate

@@ -21,5 +21,4 @@ val cdf : t -> float -> float
 val quantile : t -> float -> float
 (** Inverse CDF on [(0, 1)]. *)
 
-val sample : t -> Rng.t -> float
 val pp : Format.formatter -> t -> unit

@@ -93,10 +93,6 @@ let quantile d p =
   done;
   0.5 *. (!lo +. !hi)
 
-let sample d g =
-  let j = Rng.choose g d.weights in
-  Rng.exponential g d.rates.(j)
-
 let exponential_mean_rate d = 1.0 /. mean d
 
 let pp ppf d =

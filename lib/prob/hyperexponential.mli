@@ -36,9 +36,6 @@ val cdf : t -> float -> float
 val quantile : t -> float -> float
 (** Inverse CDF by monotone bisection. *)
 
-val sample : t -> Rng.t -> float
-(** Pick a phase by weight, then sample that exponential. *)
-
 val exponential_mean_rate : t -> float
 (** Rate of the exponential with the same mean, [1 / mean]. *)
 

@@ -42,6 +42,4 @@ let quantile d p =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Lognormal.quantile: p in (0,1)";
   exp (d.mu +. (d.sigma *. Special.normal_quantile p))
 
-let sample d g = exp (d.mu +. (d.sigma *. Rng.normal g))
-
 let pp ppf d = Format.fprintf ppf "Lognormal(mu=%g,sigma=%g)" d.mu d.sigma

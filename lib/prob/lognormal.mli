@@ -22,5 +22,4 @@ val moment : t -> int -> float
 val pdf : t -> float -> float
 val cdf : t -> float -> float
 val quantile : t -> float -> float
-val sample : t -> Rng.t -> float
 val pp : Format.formatter -> t -> unit

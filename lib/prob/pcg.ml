@@ -1,8 +1,8 @@
 (* PCG-style generator on native 63-bit ints: a linear-congruential step
    whose output is tempered by a splitmix-style xorshift-multiply
    permutation. All state is a single mutable [int] field, so stepping
-   never allocates — unlike {!Rng}, whose [Int64] arithmetic boxes a
-   fresh value on every draw. Native-int arithmetic wraps modulo 2^63;
+   never allocates (an [Int64] core would box a fresh value on every
+   draw). Native-int arithmetic wraps modulo 2^63;
    the multiplier is Knuth's 6364136223846793005 reduced mod 2^63 and is
    ≡ 1 (mod 4), so with an odd increment the LCG has full period 2^63. *)
 

@@ -1,15 +1,14 @@
-(** Allocation-free pseudo-random number generator for simulation hot
-    paths.
+(** The library's one deterministic, splittable pseudo-random number
+    generator: simulation, log generation, bootstrap resampling and
+    load schedules all draw from it, independent of the OCaml stdlib
+    [Random] state, so every seeded run is reproducible across runs and
+    machines.
 
     The state is one mutable native [int], stepped by a 63-bit
     linear-congruential recurrence and tempered with a splitmix-style
     xorshift-multiply output permutation (PCG construction). Every draw
     is branch-light straight-line integer/float code that allocates
-    nothing, unlike {!Rng} whose [Int64] core boxes each intermediate.
-
-    {!Rng} remains the generator for solver layers and for replication
-    seeding: [Rng.split_seed] hands out child seeds exactly as before,
-    and each simulation replication builds its own [Pcg.t] from one. *)
+    nothing. A child stream is [create (split_seed g)]. *)
 
 type t
 
@@ -23,8 +22,8 @@ val copy : t -> t
 val split_seed : t -> int
 (** A nonnegative 62-bit seed drawn from the stream, suitable for
     [create]; consecutive calls yield statistically independent child
-    streams (splitmix-initialised, same contract as
-    {!Rng.split_seed}). *)
+    streams ([create] mixes the full-width parent draw, so children
+    start at unrelated points of the generator's cycle). *)
 
 val bits : t -> int
 (** Next raw value, uniform over nonnegative 62-bit ints. *)
@@ -43,7 +42,8 @@ val int : t -> int -> int
     is negligible for [bound] far below 2^62. *)
 
 val exponential : t -> float -> float
-(** [exponential g rate] samples Exp(rate); [rate > 0]. *)
+(** [exponential g rate] samples Exp(rate). The rate is not checked:
+    callers pass [rate > 0]. *)
 
 val normal : t -> float
 (** Standard normal via Box–Muller. *)

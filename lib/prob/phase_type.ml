@@ -188,49 +188,5 @@ let quantile d p =
     0.5 *. (!lo +. !hi)
   end
 
-let sample d g =
-  let k = phases d in
-  (* pick the initial phase (defect mass absorbs immediately) *)
-  let u = Rng.float g in
-  let phase = ref (-1) in
-  let acc = ref 0.0 in
-  (try
-     for i = 0 to k - 1 do
-       acc := !acc +. d.alpha.(i);
-       if u < !acc then begin
-         phase := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !phase < 0 then 0.0
-  else begin
-    let time = ref 0.0 in
-    let current = ref !phase in
-    let absorbed = ref false in
-    while not !absorbed do
-      let i = !current in
-      let total_rate = -.M.get d.t_matrix i i in
-      time := !time +. Rng.exponential g total_rate;
-      (* choose the next phase or absorption *)
-      let u = Rng.float g *. total_rate in
-      let acc = ref 0.0 in
-      let next = ref (-1) in
-      (try
-         for j = 0 to k - 1 do
-           if j <> i then begin
-             acc := !acc +. M.get d.t_matrix i j;
-             if u < !acc then begin
-               next := j;
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      if !next < 0 then absorbed := true else current := !next
-    done;
-    !time
-  end
-
 let pp ppf d =
   Format.fprintf ppf "PH(k=%d, mean=%.4g, scv=%.4g)" (phases d) (mean d) (scv d)

@@ -47,7 +47,4 @@ val pdf : ?tol:float -> t -> float -> float
 val quantile : t -> float -> float
 (** Inverse CDF by bisection. *)
 
-val sample : t -> Rng.t -> float
-(** Simulate the underlying absorbing chain. *)
-
 val pp : Format.formatter -> t -> unit

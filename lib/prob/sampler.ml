@@ -1,9 +1,9 @@
 (* Compiled samplers: a [Distribution.t] pre-digested into flat floats
-   and arrays so the simulation hot loop can draw without touching the
-   polymorphic dispatch in [Distribution.sample] or the boxed [Rng]. All
-   per-family parameters (cumulative weights, phase jump tables) are
-   computed once in [compile]; [sample] itself allocates nothing on the
-   exponential / deterministic / uniform / Weibull / Erlang paths. *)
+   and arrays so a hot loop can draw without re-reading the family
+   records on every call. All per-family parameters (cumulative
+   weights, phase jump tables) are computed once in [compile]; [sample]
+   itself allocates nothing on the exponential / deterministic /
+   uniform / Weibull / Erlang paths. *)
 
 type t =
   | Exp of float (* rate *)

@@ -35,6 +35,4 @@ let quantile d p =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Uniform_d.quantile: p in (0,1)";
   d.lo +. (p *. (d.hi -. d.lo))
 
-let sample d g = Rng.uniform g d.lo d.hi
-
 let pp ppf d = Format.fprintf ppf "U(%g,%g)" d.lo d.hi

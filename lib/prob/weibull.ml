@@ -40,9 +40,4 @@ let quantile d p =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Weibull.quantile: p in (0,1)";
   d.scale *. ((-.log (1.0 -. p)) ** (1.0 /. d.shape))
 
-let sample d g =
-  let u = Rng.float g in
-  (* 1 - u is in (0, 1], so the log is finite *)
-  d.scale *. ((-.log (1.0 -. u)) ** (1.0 /. d.shape))
-
 let pp ppf d = Format.fprintf ppf "Weibull(shape=%g,scale=%g)" d.shape d.scale

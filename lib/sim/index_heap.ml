@@ -5,8 +5,7 @@
    operations swap single ints and comparisons read raw floats. Slots
    freed by [drop] are recycled through an explicit free-list stack, so
    a running simulation reaches a steady state where [push] never
-   allocates. Equal times break ties by insertion order (FIFO), exactly
-   like the legacy [Event_heap]. *)
+   allocates. Equal times break ties by insertion order (FIFO). *)
 
 type t = {
   mutable time : float array; (* slot -> event time *)
@@ -43,7 +42,7 @@ let is_empty h = h.size = 0
 
 let clear h =
   (* a cleared heap behaves exactly like a fresh one: tie-break state
-     ([next_seq]) resets too, unlike the historical Event_heap bug *)
+     ([next_seq]) resets too *)
   h.size <- 0;
   h.free_top <- 0;
   h.next_slot <- 0;

@@ -1,8 +1,8 @@
-(* Monomorphic int deque over a power-of-two ring buffer. Replaces the
-   two-list [Deque.t] in the simulation hot path: pushing never conses,
-   popping never reverses, and the buffer is reused across the whole
-   run. Values must be >= 0 (slot/server indices); [pop_front] returns
-   [-1] for empty instead of an [option]. *)
+(* Monomorphic int deque over a power-of-two ring buffer, the
+   simulator's job queue: pushing never conses, popping never reverses,
+   and the buffer is reused across the whole run. Values must be >= 0
+   (slot/server indices); [pop_front] returns [-1] for empty instead of
+   an [option]. *)
 
 type t = { mutable buf : int array; mutable head : int; mutable len : int }
 

@@ -47,7 +47,7 @@ let progress_task = "sim:replications"
 let run ?(seed = 1) ?(replications = 10) ?(confidence = 0.95) ?warmup ?pool
     ?(timelines = true) ?timeline_registry ?timeline_capacity ~duration cfg =
   if replications < 1 then invalid_arg "Replicate.run: replications >= 1";
-  let master = Urs_prob.Rng.create seed in
+  let master = Urs_prob.Pcg.create seed in
   (* all replications share one bucket layout (same horizon), so their
      trajectories can be averaged bucket-by-bucket *)
   let horizon =
@@ -58,7 +58,7 @@ let run ?(seed = 1) ?(replications = 10) ?(confidence = 0.95) ?warmup ?pool
      streams are independent and non-overlapping AND identical whether
      the replications then run sequentially or on a pool. *)
   let seeds =
-    Array.init replications (fun _ -> Urs_prob.Rng.split_seed master)
+    Array.init replications (fun _ -> Urs_prob.Pcg.split_seed master)
   in
   let params = ledger_params cfg ~duration ~replications in
   (* per-replication results land in flat float arrays (one slot per

@@ -29,7 +29,7 @@ val run :
   summary
 (** Defaults: [replications = 10], [confidence = 0.95], [seed = 1].
     Replication [i] uses an independent split stream
-    ({!Urs_prob.Rng.split_seed}) derived from the master seed; all
+    ({!Urs_prob.Pcg.split_seed}) derived from the master seed; all
     per-replication seeds are drawn up front, so running on a [pool]
     ([--jobs N]) produces a summary bit-identical to the sequential
     run for the same seed.

@@ -34,7 +34,6 @@ let m_repairs =
   Metrics.counter ~help:"Server repairs completed across all simulation runs"
     "urs_sim_repairs_total"
 
-(* same registry entries the legacy Engine maintains *)
 let m_events =
   Metrics.counter ~help:"Simulation events processed" "urs_sim_events_total"
 

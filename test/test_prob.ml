@@ -1,77 +1,12 @@
-(* Tests for the probability substrate: RNG, special functions,
-   distributions, moment fitting, and the Kolmogorov–Smirnov test. *)
+(* Tests for the probability substrate: the Pcg generator and compiled
+   samplers, special functions, distributions, moment fitting, and the
+   Kolmogorov–Smirnov test. *)
 
 open Urs_prob
 
 let check_float ?(tol = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > tol then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
-
-(* ---- Rng ---- *)
-
-let test_rng_determinism () =
-  let a = Rng.create 42 and b = Rng.create 42 in
-  for _ = 1 to 100 do
-    if Rng.float a <> Rng.float b then Alcotest.fail "streams diverge"
-  done
-
-let test_rng_seed_sensitivity () =
-  let a = Rng.create 1 and b = Rng.create 2 in
-  let same = ref 0 in
-  for _ = 1 to 100 do
-    if Rng.float a = Rng.float b then incr same
-  done;
-  Alcotest.(check bool) "different seeds differ" true (!same < 5)
-
-let test_rng_uniform_range () =
-  let g = Rng.create 7 in
-  for _ = 1 to 10_000 do
-    let u = Rng.float g in
-    if u < 0.0 || u >= 1.0 then Alcotest.fail "float out of [0,1)"
-  done
-
-let test_rng_mean () =
-  let g = Rng.create 11 in
-  let n = 100_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Rng.float g
-  done;
-  check_float ~tol:0.01 "uniform mean" 0.5 (!acc /. float_of_int n)
-
-let test_rng_exponential_mean () =
-  let g = Rng.create 13 in
-  let n = 100_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Rng.exponential g 4.0
-  done;
-  check_float ~tol:0.01 "exp mean" 0.25 (!acc /. float_of_int n)
-
-let test_rng_choose () =
-  let g = Rng.create 17 in
-  let counts = Array.make 3 0 in
-  let weights = [| 0.5; 0.3; 0.2 |] in
-  let n = 50_000 in
-  for _ = 1 to n do
-    let i = Rng.choose g weights in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i w ->
-      check_float ~tol:0.02 "choose frequency" w
-        (float_of_int counts.(i) /. float_of_int n))
-    weights
-
-let test_rng_split_independence () =
-  let g = Rng.create 23 in
-  let h = Rng.split g in
-  (* the two streams should not be identical *)
-  let same = ref 0 in
-  for _ = 1 to 100 do
-    if Rng.float g = Rng.float h then incr same
-  done;
-  Alcotest.(check bool) "split independent" true (!same < 5)
 
 let paper_h2 = Hyperexponential.of_pairs [ (0.7246, 0.1663); (0.2754, 0.0091) ]
 
@@ -144,8 +79,7 @@ let test_pcg_ks_rejects_wrong () =
   Alcotest.(check bool) "wrong rate rejected" false dec.Ks.accept
 
 let test_pcg_split_independence () =
-  (* mirrors test_rng_split_independence: a child stream seeded from
-     split_seed must not track its parent *)
+  (* a child stream seeded from split_seed must not track its parent *)
   let g = Pcg.create 23 in
   let h = Pcg.create (Pcg.split_seed g) in
   let same = ref 0 in
@@ -214,28 +148,71 @@ let test_sampler_matches_distribution_means () =
         (!acc /. float_of_int n))
     families
 
-let test_sampler_ks_exponential () =
-  (* distribution-level goodness of fit, not just the mean *)
-  let d = Exponential.create 1.5 in
-  let s = Sampler.compile (Distribution.Exponential d) in
-  let g = Pcg.create 2029 in
-  let samples = Array.init 5000 (fun _ -> Sampler.sample s g) in
-  let dec =
-    Ks.test_samples ~significance:0.05 ~hypothesized:(Exponential.cdf d)
-      ~samples
-  in
-  Alcotest.(check bool) "compiled exp accepted" true dec.Ks.accept
+(* [n] draws of [d] through its compiled sampler on a fresh seeded
+   stream: the one sampling path the simulator and the log generator
+   share. *)
+let draws ?(n = 5000) ~seed d =
+  let s = Sampler.compile d and g = Pcg.create seed in
+  Array.init n (fun _ -> Sampler.sample s g)
 
-let test_sampler_ks_hyperexponential () =
-  let s = Sampler.compile (Distribution.Hyperexponential paper_h2) in
-  let g = Pcg.create 2031 in
-  let samples = Array.init 5000 (fun _ -> Sampler.sample s g) in
+let mean_of xs = Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
+
+let coxian ~r2 =
+  Phase_type.create ~alpha:[| 1.0; 0.0 |]
+    ~t_matrix:(Urs_linalg.Matrix.of_arrays [| [| -2.0; 1.5 |]; [| 0.0; -.r2 |] |])
+
+(* KS harness over every continuous family, after the mwc-random KS
+   suite: each sampler's draws must pass a one-sample KS test against
+   the family's own cdf, and the same draws must fail against a
+   distribution with one parameter moved, so the harness is shown to
+   have power. Deterministic has no continuous cdf and is checked
+   exactly in [test_deterministic]. Columns: name, distribution, the
+   wrong-parameter distribution, seed. *)
+let ks_families =
+  let open Distribution in
+  [
+    ("exponential", exponential ~rate:1.5, exponential ~rate:1.8, 2029);
+    ( "hyperexponential",
+      Hyperexponential paper_h2,
+      h2 ~w1:0.7246 ~r1:0.1663 ~r2:0.012,
+      2031 );
+    ("erlang", erlang ~k:3 ~rate:1.5, erlang ~k:3 ~rate:1.8, 2033);
+    ("uniform", uniform ~lo:2.0 ~hi:6.0, uniform ~lo:2.0 ~hi:6.5, 2035);
+    ( "weibull",
+      weibull ~shape:2.0 ~scale:1.0,
+      weibull ~shape:2.0 ~scale:1.2,
+      2037 );
+    ( "lognormal",
+      Lognormal (Lognormal.of_mean_scv ~mean:3.0 ~scv:2.0),
+      Lognormal (Lognormal.of_mean_scv ~mean:3.6 ~scv:2.0),
+      2043 );
+    ( "coxian phase-type",
+      Phase_type (coxian ~r2:0.5),
+      Phase_type (coxian ~r2:0.4),
+      2041 );
+  ]
+
+let ks_accepts ~seed ~hypothesized d =
   let dec =
     Ks.test_samples ~significance:0.05
-      ~hypothesized:(Hyperexponential.cdf paper_h2)
-      ~samples
+      ~hypothesized:(Distribution.cdf hypothesized)
+      ~samples:(draws ~seed d)
   in
-  Alcotest.(check bool) "compiled h2 accepted" true dec.Ks.accept
+  dec.Ks.accept
+
+let sampler_ks_cases =
+  List.concat_map
+    (fun (name, d, wrong, seed) ->
+      [
+        Alcotest.test_case ("KS " ^ name) `Quick (fun () ->
+            Alcotest.(check bool) "own cdf accepted" true
+              (ks_accepts ~seed ~hypothesized:d d));
+        Alcotest.test_case ("KS " ^ name ^ " rejects wrong parameter") `Quick
+          (fun () ->
+            Alcotest.(check bool) "wrong cdf rejected" false
+              (ks_accepts ~seed ~hypothesized:wrong d));
+      ])
+    ks_families
 
 (* ---- special functions ---- *)
 
@@ -319,14 +296,8 @@ let test_hyperexponential_cdf_pdf () =
   check_float ~tol:1e-3 "pdf integrates to 1" 1.0 !integral
 
 let test_hyperexponential_sampling () =
-  let g = Rng.create 31 in
-  let n = 200_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Hyperexponential.sample paper_h2 g
-  done;
-  let sample_mean = !acc /. float_of_int n in
-  check_float ~tol:0.5 "sample mean" (Hyperexponential.mean paper_h2) sample_mean
+  let xs = draws ~n:200_000 ~seed:31 (Distribution.Hyperexponential paper_h2) in
+  check_float ~tol:0.5 "sample mean" (Hyperexponential.mean paper_h2) (mean_of xs)
 
 let test_hyperexponential_validation () =
   Alcotest.check_raises "bad weights"
@@ -345,13 +316,8 @@ let test_erlang () =
   check_float ~tol:1e-9 "moment 1 = mean" (Erlang.mean d) (Erlang.moment d 1);
   check_float ~tol:1e-9 "moment 2" (Erlang.variance d +. (2.0 *. 2.0)) (Erlang.moment d 2);
   check_float ~tol:1e-9 "cdf at 0" 0.0 (Erlang.cdf d 0.0);
-  let g = Rng.create 37 in
-  let n = 100_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Erlang.sample d g
-  done;
-  check_float ~tol:0.02 "sample mean" 2.0 (!acc /. float_of_int n)
+  let xs = draws ~n:100_000 ~seed:37 (Distribution.Erlang d) in
+  check_float ~tol:0.02 "sample mean" 2.0 (mean_of xs)
 
 let test_deterministic () =
   let d = Deterministic.create 5.0 in
@@ -359,8 +325,8 @@ let test_deterministic () =
   check_float "scv" 0.0 (Deterministic.scv d);
   check_float "cdf below" 0.0 (Deterministic.cdf d 4.999);
   check_float "cdf at" 1.0 (Deterministic.cdf d 5.0);
-  let g = Rng.create 1 in
-  check_float "sample" 5.0 (Deterministic.sample d g)
+  Array.iter (check_float "sample" 5.0)
+    (draws ~n:10 ~seed:1 (Distribution.Deterministic d))
 
 let test_uniform () =
   let d = Uniform_d.create ~lo:2.0 ~hi:6.0 in
@@ -378,13 +344,8 @@ let test_weibull () =
   check_float ~tol:1e-9 "scv" 1.0 (Weibull.scv d);
   let d2 = Weibull.create ~shape:2.0 ~scale:1.0 in
   check_float ~tol:1e-9 "mean shape 2" (sqrt Float.pi /. 2.0) (Weibull.mean d2);
-  let g = Rng.create 41 in
-  let acc = ref 0.0 in
-  let n = 100_000 in
-  for _ = 1 to n do
-    acc := !acc +. Weibull.sample d2 g
-  done;
-  check_float ~tol:0.01 "sample mean" (Weibull.mean d2) (!acc /. float_of_int n)
+  let xs = draws ~n:100_000 ~seed:41 (Distribution.Weibull d2) in
+  check_float ~tol:0.01 "sample mean" (Weibull.mean d2) (mean_of xs)
 
 let test_lognormal () =
   let d = Lognormal.of_mean_scv ~mean:3.0 ~scv:2.0 in
@@ -535,18 +496,9 @@ let test_ph_validation () =
 let test_ph_coxian_sampling () =
   (* a genuine 2-phase Coxian (off-diagonal transition): sample mean
      must match the analytical mean *)
-  let t_matrix =
-    Urs_linalg.Matrix.of_arrays [| [| -2.0; 1.5 |]; [| 0.0; -0.5 |] |]
-  in
-  let ph = Phase_type.create ~alpha:[| 1.0; 0.0 |] ~t_matrix in
-  let g = Rng.create 57 in
-  let n = 200_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Phase_type.sample ph g
-  done;
-  check_float ~tol:0.03 "coxian sample mean" (Phase_type.mean ph)
-    (!acc /. float_of_int n);
+  let ph = coxian ~r2:0.5 in
+  let xs = draws ~n:200_000 ~seed:57 (Distribution.Phase_type ph) in
+  check_float ~tol:0.03 "coxian sample mean" (Phase_type.mean ph) (mean_of xs);
   (* quantile inverts cdf *)
   check_float ~tol:1e-6 "quantile roundtrip" 0.8
     (Phase_type.cdf ph (Phase_type.quantile ph 0.8))
@@ -558,7 +510,13 @@ let test_ph_defect () =
       ~t_matrix:(Urs_linalg.Matrix.of_arrays [| [| -1.0 |] |])
   in
   check_float ~tol:1e-12 "defect" 0.5 (Phase_type.cdf ph 0.0);
-  check_float ~tol:1e-9 "mean halves" 0.5 (Phase_type.mean ph)
+  check_float ~tol:1e-9 "mean halves" 0.5 (Phase_type.mean ph);
+  (* the sampler absorbs the defect mass at once: half the draws are 0 *)
+  let xs = draws ~n:100_000 ~seed:59 (Distribution.Phase_type ph) in
+  let zeros = Array.fold_left (fun n x -> if x = 0.0 then n + 1 else n) 0 xs in
+  check_float ~tol:0.01 "share of zero draws" 0.5
+    (float_of_int zeros /. float_of_int (Array.length xs));
+  check_float ~tol:0.01 "sample mean" 0.5 (mean_of xs)
 
 let test_ph_distribution_roundtrip () =
   (* a diagonal PH with full mass converts back to a hyperexponential *)
@@ -587,8 +545,7 @@ let test_ks_critical_values_match_paper () =
 
 let test_ks_accepts_own_distribution () =
   let d = Exponential.create 1.0 in
-  let g = Rng.create 43 in
-  let samples = Array.init 2000 (fun _ -> Exponential.sample d g) in
+  let samples = draws ~n:2000 ~seed:43 (Distribution.Exponential d) in
   let dec =
     Ks.test_samples ~significance:0.05 ~hypothesized:(Exponential.cdf d) ~samples
   in
@@ -597,8 +554,7 @@ let test_ks_accepts_own_distribution () =
 let test_ks_rejects_wrong_distribution () =
   let d = Exponential.create 1.0 in
   let wrong = Exponential.create 2.0 in
-  let g = Rng.create 47 in
-  let samples = Array.init 2000 (fun _ -> Exponential.sample d g) in
+  let samples = draws ~n:2000 ~seed:47 (Distribution.Exponential d) in
   let dec =
     Ks.test_samples ~significance:0.05 ~hypothesized:(Exponential.cdf wrong)
       ~samples
@@ -671,16 +627,6 @@ let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "urs_prob"
     [
-      ( "rng",
-        [
-          Alcotest.test_case "determinism" `Quick test_rng_determinism;
-          Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "range" `Quick test_rng_uniform_range;
-          Alcotest.test_case "uniform mean" `Quick test_rng_mean;
-          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "weighted choice" `Quick test_rng_choose;
-          Alcotest.test_case "split independence" `Quick test_rng_split_independence;
-        ] );
       ( "pcg",
         [
           Alcotest.test_case "determinism" `Quick test_pcg_determinism;
@@ -697,13 +643,9 @@ let () =
             test_pcg_uniform_int_normal;
         ] );
       ( "sampler",
-        [
-          Alcotest.test_case "matches distribution means" `Slow
-            test_sampler_matches_distribution_means;
-          Alcotest.test_case "KS exponential" `Quick test_sampler_ks_exponential;
-          Alcotest.test_case "KS hyperexponential" `Quick
-            test_sampler_ks_hyperexponential;
-        ] );
+        Alcotest.test_case "matches distribution means" `Slow
+          test_sampler_matches_distribution_means
+        :: sampler_ks_cases );
       ( "special",
         [
           Alcotest.test_case "log gamma" `Quick test_log_gamma;

@@ -86,11 +86,15 @@ let test_golden_section2_decisions () =
   | Error e -> Alcotest.failf "pipeline failed: %a" Urs_prob.Fit.pp_error e
   | Ok r ->
       let op = r.Urs_dataset.Pipeline.operative in
-      check_float ~tol:1e-3 "operative exp D" 0.4803
+      check_float ~tol:1e-3 "operative exp D" 0.4719
         op.Urs_dataset.Pipeline.exponential_ks.Urs_prob.Ks.statistic;
-      check_float ~tol:1e-3 "operative H2 D" 0.1222
+      check_float ~tol:1e-3 "operative H2 D" 0.1066
         op.Urs_dataset.Pipeline.h2_ks.Urs_prob.Ks.statistic;
-      Alcotest.(check int) "anomalies" 4868 r.Urs_dataset.Pipeline.cleaned.Urs_dataset.Clean.anomalies
+      Alcotest.(check bool) "exponential rejected at 5%" false
+        op.Urs_dataset.Pipeline.exponential_ks.Urs_prob.Ks.accept;
+      Alcotest.(check bool) "H2 accepted at 5%" true
+        op.Urs_dataset.Pipeline.h2_ks.Urs_prob.Ks.accept;
+      Alcotest.(check int) "anomalies" 4979 r.Urs_dataset.Pipeline.cleaned.Urs_dataset.Clean.anomalies
 
 let test_solver_determinism () =
   let a = solve ~servers:7 ~lambda:5.5 in

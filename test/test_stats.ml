@@ -60,8 +60,8 @@ let test_histogram_clamps_outliers () =
 let test_histogram_exponential_recovery () =
   (* density of a fine histogram over exponential samples approximates
      the true pdf *)
-  let g = Urs_prob.Rng.create 99 in
-  let data = Array.init 200_000 (fun _ -> Urs_prob.Rng.exponential g 1.0) in
+  let g = Urs_prob.Pcg.create 99 in
+  let data = Array.init 200_000 (fun _ -> Urs_prob.Pcg.exponential g 1.0) in
   let h = Histogram.build ~bins:100 ~range:(0.0, 8.0) data in
   let xs = Histogram.midpoints h and ds = Histogram.densities h in
   (* compare at a mid-range point *)
@@ -101,8 +101,8 @@ let test_empirical_ecdf () =
 (* ---- Welford ---- *)
 
 let test_welford_matches_batch () =
-  let g = Urs_prob.Rng.create 5 in
-  let data = Array.init 1000 (fun _ -> Urs_prob.Rng.float g) in
+  let g = Urs_prob.Pcg.create 5 in
+  let data = Array.init 1000 (fun _ -> Urs_prob.Pcg.float g) in
   let w = Welford.create () in
   Array.iter (Welford.add w) data;
   check_float ~tol:1e-12 "mean" (Empirical.mean data) (Welford.mean w);
@@ -110,8 +110,8 @@ let test_welford_matches_batch () =
   Alcotest.(check int) "count" 1000 (Welford.count w)
 
 let test_welford_merge () =
-  let g = Urs_prob.Rng.create 6 in
-  let data = Array.init 500 (fun _ -> Urs_prob.Rng.float g) in
+  let g = Urs_prob.Pcg.create 6 in
+  let data = Array.init 500 (fun _ -> Urs_prob.Pcg.float g) in
   let a = Welford.create () and b = Welford.create () in
   Array.iteri (fun i x -> Welford.add (if i < 250 then a else b) x) data;
   let m = Welford.merge a b in
@@ -140,8 +140,8 @@ let test_student_t_quantile_roundtrip () =
 (* ---- Batch means ---- *)
 
 let test_batch_means_iid () =
-  let g = Urs_prob.Rng.create 7 in
-  let series = Array.init 10_000 (fun _ -> 3.0 +. Urs_prob.Rng.normal g) in
+  let g = Urs_prob.Pcg.create 7 in
+  let series = Array.init 10_000 (fun _ -> 3.0 +. Urs_prob.Pcg.normal g) in
   let iv = Batch_means.analyze series in
   Alcotest.(check bool) "covers true mean" true
     (abs_float (iv.Batch_means.estimate -. 3.0) <= 2.0 *. iv.Batch_means.half_width);
@@ -252,11 +252,11 @@ let prop_welford_mean_bounds =
    baseline, with an optional step factor from [step_at] on — the same
    shape the detector sees from BENCH_history.jsonl (in log space) *)
 let perf_series ~seed ~n ~noise ~step_at ~step =
-  let rng = Urs_prob.Rng.create seed in
+  let rng = Urs_prob.Pcg.create seed in
   let xs = Array.make n 0.0 in
   for i = 0 to n - 1 do
     let level = if i >= step_at then step else 1.0 in
-    xs.(i) <- log (0.0026 *. level *. exp (noise *. Urs_prob.Rng.normal rng))
+    xs.(i) <- log (0.0026 *. level *. exp (noise *. Urs_prob.Pcg.normal rng))
   done;
   xs
 
