@@ -561,6 +561,129 @@ let section_sim () =
      history and fails when seconds/event regresses beyond --max-ratio)@.";
   flush ()
 
+(* ---- scale: the exact solver's stages as N grows ---- *)
+
+let scale_stages = [ "eigenvalues"; "eigenvectors"; "boundary"; "normalization" ]
+
+(* least-squares slope of log y against log x *)
+let fitted_exponent points =
+  let pts = List.map (fun (x, y) -> (log x, log y)) points in
+  let k = float_of_int (List.length pts) in
+  let mx = List.fold_left (fun a (x, _) -> a +. x) 0.0 pts /. k in
+  let my = List.fold_left (fun a (_, y) -> a +. y) 0.0 pts /. k in
+  let sum f = List.fold_left (fun a p -> a +. f p) 0.0 pts in
+  sum (fun (x, y) -> (x -. mx) *. (y -. my))
+  /. sum (fun (x, _) -> (x -. mx) *. (x -. mx))
+
+(* One cold exact solve per N, traced with GC profiling so the
+   urs_spectral_stage spans carry their own seconds and words; each
+   stage (and the whole solve) becomes an ungated trend row
+   spectral.<stage>.n<N> in BENCH_history.jsonl. *)
+let section_scale () =
+  header "Scale — exact solver stages against s = C(N+2,2)";
+  Format.printf
+    "(paper model, fitted operative H2, η=25, load 0.64; one cold solve@.\
+    \ per N, stage spans read with GC profiling on)@.@.";
+  let ns = [ 5; 10; 20; 30 ] in
+  let row st n = Printf.sprintf "spectral.%s.n%d" st n in
+  List.iter remove_gate_stat
+    (List.concat_map
+       (fun n -> List.map (fun st -> row st n) ("solve" :: scale_stages))
+       ns);
+  let was_tracing = Span.tracing_enabled ()
+  and was_gc = Span.gc_profiling_enabled () in
+  Span.set_gc_profiling true;
+  Fun.protect ~finally:(fun () ->
+      Span.set_tracing was_tracing;
+      Span.set_gc_profiling was_gc)
+  @@ fun () ->
+  Format.printf "  %3s  %4s  %4s  %-14s  %10s  %12s  %12s@." "N" "s" "b"
+    "stage" "seconds" "minor words" "major words";
+  let runs =
+    List.map
+      (fun n ->
+        let probe = model ~servers:n ~lambda:1.0 in
+        let env = Option.get (Urs.Model.environment probe) in
+        let lambda =
+          0.64 *. float_of_int n *. Urs_mmq.Environment.availability env
+        in
+        let q =
+          Option.get (Urs.Model.qbd (Urs.Model.with_arrival_rate probe lambda))
+        in
+        Gc.full_major ();
+        Span.set_tracing true;
+        (match Urs_mmq.Spectral.solve q with
+        | Ok _ -> ()
+        | Error e -> Format.printf "  N=%d: %a@." n Urs_mmq.Spectral.pp_error e);
+        let trace = Json.of_string (Span.trace_json ()) in
+        Span.set_tracing false;
+        let num name j =
+          Option.value ~default:nan
+            (Option.bind (Json.member name j) Json.to_float_opt)
+        in
+        let stat j =
+          {
+            Urs_obs.Perf.seconds = num "duration_s" j;
+            minor_words = num "gc_minor_words" j;
+            promoted_words = num "gc_promoted_words" j;
+            major_words = num "gc_major_words" j;
+          }
+        in
+        let list name j =
+          match Json.member name j with Some (Json.List l) -> l | _ -> []
+        in
+        let named name j = Json.member "name" j = Some (Json.String name) in
+        let solve =
+          match trace with
+          | Ok t -> List.find_opt (named "urs_spectral_solve") (list "spans" t)
+          | Error _ -> None
+        in
+        let stage st =
+          Option.bind solve (fun sv ->
+              List.find_opt
+                (fun c ->
+                  named "urs_spectral_stage" c
+                  && Option.bind (Json.member "labels" c) (Json.member "stage")
+                     = Some (Json.String st))
+                (list "children" sv))
+        in
+        let s = Urs_mmq.Qbd.s q and b, _ = Urs_mmq.Qbd.bandwidths q in
+        let rows =
+          List.filter_map
+            (fun (st, node) -> Option.map (fun j -> (st, stat j)) node)
+            (("solve", solve)
+            :: List.map (fun st -> (st, stage st)) scale_stages)
+        in
+        List.iter
+          (fun (st, (x : Urs_obs.Perf.solver_stat)) ->
+            gate_stats := (row st n, x) :: !gate_stats;
+            Format.printf "  %3d  %4d  %4d  %-14s  %10.4f  %12.0f  %12.0f@." n s
+              b st x.seconds x.minor_words x.major_words)
+          rows;
+        flush ();
+        (float_of_int s, rows))
+      ns
+  in
+  Format.printf "@.  fitted exponent in s (seconds ∝ s^k over N = %s):@."
+    (String.concat ", " (List.map string_of_int ns));
+  List.iter
+    (fun st ->
+      let pts =
+        List.filter_map
+          (fun (s, rows) ->
+            Option.map
+              (fun (x : Urs_obs.Perf.solver_stat) -> (s, x.seconds))
+              (List.assoc_opt st rows))
+          runs
+      in
+      if List.length pts >= 2 then
+        Format.printf "    %-14s  k = %.2f@." st (fitted_exponent pts))
+    ("solve" :: scale_stages);
+  Format.printf
+    "@.(every row lands in BENCH_history.jsonl as an ungated trend row —@.\
+     `urs report` plots them but only spectral/sim can breach the gate)@.";
+  flush ()
+
 (* ---- serve: request throughput and tail latency over HTTP ---- *)
 
 let section_serve () =
@@ -926,6 +1049,9 @@ let sections : (string * string * (unit -> unit)) list =
     ("extensions", "Extensions beyond the paper", section_extensions);
     ("n5", "N=5 solver wall time (bench-regression gate)", section_n5);
     ("sim", "Simulation engine events/sec (sim-perf gate)", section_sim);
+    ( "scale",
+      "Exact solver stages against s (seconds, words, exponent)",
+      section_scale );
     ("serve", "HTTP serve throughput and p99 (healthz, cached solve)", section_serve);
     ("query", "Ledger query engine: cold vs indexed scan", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);

@@ -47,3 +47,11 @@ val null_vector : Cmatrix.t -> Cvec.t
 
 val left_null_vector : Cmatrix.t -> Cvec.t
 (** Left null vector: [u] with [u a ≈ 0], unit norm. *)
+
+val inverse_iteration : (Cvec.t -> Cvec.t) -> int -> Cvec.t
+(** [inverse_iteration solve n] runs four steps of inverse iteration
+    [x ← solve x / ‖solve x‖] from a fixed deterministic start vector of
+    dimension [n], then phase-normalizes as in {!Cvec.normalize}. The
+    null-vector functions here and {!Cband.left_null_vector} share it,
+    so a dense and a band factorization of the same matrix give the
+    same vector up to rounding. *)

@@ -74,7 +74,7 @@ let solve_inner ~scan_points q =
     | None -> Error Root_not_found
     | Some z ->
         finish_conv true;
-        let u = Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q (Cx.of_float z)) in
+        let u = Qbd.left_null_vector q (Cx.of_float z) in
         let u_re = CV.real_part u in
         let total = V.sum u_re in
         let weights = V.scale (1.0 /. total) u_re in

@@ -53,19 +53,37 @@ val q1 : t -> Urs_linalg.Matrix.t
 val q2 : t -> Urs_linalg.Matrix.t
 
 val char_poly_at : t -> Urs_linalg.Cx.t -> Urs_linalg.Cmatrix.t
-(** [Q(z)] evaluated at a complex point. *)
+(** [Q(z)] evaluated at a complex point, as a dense matrix. *)
+
+val bandwidths : t -> int * int
+(** [(kl, ku)]: the largest [i − j] and [j − i] over the nonzeros
+    [A(i, j)], measured once by {!create}. [Q0] and [Q2] are diagonal,
+    so this is also the band of [Q(z)]. The modes are ordered by
+    operative count and each environment move changes that count by at
+    most one, so [A] is block tridiagonal and the band is narrow:
+    [kl = ku = N+1] for the paper's H2/Exp model, against
+    [s = C(N+2, 2)]. *)
+
+val char_poly_band : t -> Urs_linalg.Cx.t -> Urs_linalg.Cband.t
+(** [Q(z)] as a band matrix with {!bandwidths}; its entries are
+    bit-identical to those of {!char_poly_at}. *)
+
+val left_null_vector : t -> Urs_linalg.Cx.t -> Urs_linalg.Cvec.t
+(** A unit-norm left null vector [u] of [Q(z)] ([u·Q(z) ≈ 0]) by
+    banded inverse iteration, [O(s·b²)] for bandwidth [b]. *)
 
 val det_q_scaled : t -> float -> float
 (** [det Q(z)] for real [z], rescaled as
     [sign·exp(log|det|/s)] to avoid overflow — same sign and same roots
-    as the determinant, used for locating the dominant eigenvalue. *)
+    as the determinant, used for locating the dominant eigenvalue.
+    Computed on the band, [O(s·b²)]. *)
 
 val eigenpair_residual : t -> Urs_linalg.Cx.t -> Urs_linalg.Cvec.t -> float
 (** [eigenpair_residual t z u] is [‖u·Q(z)‖∞ / ‖u‖∞] — the a-posteriori
     accuracy of a left eigenpair of the characteristic polynomial
-    ([infinity] for a zero vector). Near machine epsilon for a
-    well-conditioned solve; the health diagnostics flag anything
-    materially larger. *)
+    ([infinity] for a zero vector), by a band product in [O(s·b)].
+    Near machine epsilon for a well-conditioned solve; the health
+    diagnostics flag anything materially larger. *)
 
 val generator_residual : t -> Urs_linalg.Vec.t array -> int -> float
 (** [generator_residual t vs j] is the infinity-norm residual of the

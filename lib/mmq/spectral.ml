@@ -195,8 +195,7 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
             let us = Array.make s [||] in
             for k = 0 to s - 1 do
               let z = zs.(k) in
-              if Cx.im z >= 0.0 then
-                us.(k) <- Clu.left_null_vector (Qbd.char_poly_at q z)
+              if Cx.im z >= 0.0 then us.(k) <- Qbd.left_null_vector q z
             done;
             for k = 0 to s - 1 do
               if Cx.im zs.(k) < 0.0 then begin
@@ -216,7 +215,7 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
                   Metrics.inc m_conj;
                   us.(k) <- Array.map Cx.conj us.(!partner)
                 end
-                else us.(k) <- Clu.left_null_vector (Qbd.char_poly_at q zs.(k))
+                else us.(k) <- Qbd.left_null_vector q zs.(k)
               end
             done;
             us)

@@ -316,6 +316,188 @@ let test_clu_det () =
   check_float "det re" (-1.0) (Cx.re d);
   check_float "det im" 0.0 (Cx.im d)
 
+(* ---- band LU against the dense kernels ---- *)
+
+(* a random complex n×n matrix with kl sub- and ku super-diagonals, as
+   both a band and a dense matrix; [real] zeroes the imaginary parts *)
+let random_band ?(real = false) n ~kl ~ku =
+  let band = Cband.create ~n ~kl ~ku in
+  let dense = Cmatrix.create n n in
+  for i = 0 to n - 1 do
+    for j = max 0 (i - kl) to min (n - 1) (i + ku) do
+      let z =
+        Cx.make
+          (Random.State.float rand_state 2.0 -. 1.0)
+          (if real then 0.0 else Random.State.float rand_state 2.0 -. 1.0)
+      in
+      Cband.set band i j (Cx.re z) (Cx.im z);
+      Cmatrix.set dense i j z
+    done
+  done;
+  (band, dense)
+
+let band_shapes =
+  [ (12, 2, 3); (10, 0, 3); (10, 3, 0); (8, 7, 7); (1, 0, 0); (30, 4, 4) ]
+
+let rel_diff u v =
+  Cvec.norm_inf (Cvec.sub u v) /. Float.max 1e-300 (Cvec.norm_inf v)
+
+let check_rel_vec msg u v =
+  let d = rel_diff u v in
+  if d > 1e-12 then Alcotest.failf "%s: relative difference %.2e" msg d
+
+let shape_label (n, kl, ku) = Printf.sprintf "n=%d kl=%d ku=%d" n kl ku
+
+let real_part m =
+  Matrix.init m.Cmatrix.rows m.Cmatrix.cols (fun i j ->
+      Cx.re (Cmatrix.get m i j))
+
+let test_band_solve_transposed () =
+  List.iter
+    (fun ((n, kl, ku) as shape) ->
+      let band, dense = random_band n ~kl ~ku in
+      let b =
+        Cvec.init n (fun i ->
+            Cx.make (float_of_int (i + 1)) (0.5 -. float_of_int i))
+      in
+      let fb, _ = Cband.factor_regularized band in
+      let fd, _ = Clu.factor_regularized dense in
+      let x = Cband.solve_transposed fb b in
+      check_rel_vec (shape_label shape) x (Clu.solve_transposed fd b);
+      (* and it really solves aᵀ x = b *)
+      let r = Cvec.norm_inf (Cvec.sub (Cmatrix.vec_mul x dense) b) in
+      if r > 1e-10 *. Cvec.norm_inf b then
+        Alcotest.failf "%s: residual %.2e" (shape_label shape) r)
+    band_shapes;
+  (* a zero diagonal: every step must pivot, within the band *)
+  List.iter
+    (fun ((n, kl, ku) as shape) ->
+      let band, dense = random_band n ~kl ~ku in
+      for i = 0 to n - 1 do
+        Cband.set band i i 0.0 0.0;
+        Cmatrix.set dense i i Cx.zero
+      done;
+      let b = Cvec.init n (fun i -> Cx.make 1.0 (float_of_int i)) in
+      let fb, patched = Cband.factor_regularized band in
+      Alcotest.(check bool)
+        (shape_label shape ^ " no patch needed")
+        false patched;
+      let fd, _ = Clu.factor_regularized dense in
+      check_rel_vec
+        (shape_label shape ^ " zero diagonal")
+        (Cband.solve_transposed fb b) (Clu.solve_transposed fd b))
+    [ (12, 2, 3); (8, 7, 7); (30, 4, 4) ]
+
+(* zero column sums make the all-ones vector a left null vector *)
+let singular_band n ~kl ~ku =
+  let band, dense = random_band n ~kl ~ku in
+  for j = 0 to n - 1 do
+    let acc = ref Cx.zero in
+    for i = max 0 (j - ku) to min (n - 1) (j + kl) do
+      if i <> j then acc := Cx.add !acc (Cmatrix.get dense i j)
+    done;
+    let d = Cx.neg !acc in
+    Cband.set band j j (Cx.re d) (Cx.im d);
+    Cmatrix.set dense j j d
+  done;
+  (band, dense)
+
+let test_band_left_null_vector () =
+  List.iter
+    (fun ((n, kl, ku) as shape) ->
+      let band, dense = singular_band n ~kl ~ku in
+      let u = Cband.left_null_vector band in
+      check_rel_vec (shape_label shape) u (Clu.left_null_vector dense);
+      let r = Cvec.norm_inf (Cband.vec_mul u band) in
+      if r > 1e-10 then Alcotest.failf "%s: u·a = %.2e" (shape_label shape) r;
+      check_float ~tol:1e-12 "unit norm" 1.0 (Cvec.norm2 u))
+    (List.filter (fun (n, _, _) -> n > 1) band_shapes);
+  (* the singular 1×1 matrix is zero: its patched pivot squares to an
+     underflow, and both kernels refuse it alike *)
+  let band, dense = singular_band 1 ~kl:0 ~ku:0 in
+  Alcotest.check_raises "band, 1×1 zero" Clu.Singular (fun () ->
+      ignore (Cband.left_null_vector band));
+  Alcotest.check_raises "dense, 1×1 zero" Clu.Singular (fun () ->
+      ignore (Clu.left_null_vector dense))
+
+let test_band_vec_mul () =
+  List.iter
+    (fun ((n, kl, ku) as shape) ->
+      let band, dense = random_band n ~kl ~ku in
+      let x =
+        Cvec.init n (fun i ->
+            Cx.make (sin (float_of_int i)) (cos (float_of_int i)))
+      in
+      let y = Cband.vec_mul x band and yd = Cmatrix.vec_mul x dense in
+      Array.iteri
+        (fun j (z : Cx.t) ->
+          if z <> yd.(j) && not (Cx.re z = 0.0 && Cx.im z = 0.0) then
+            Alcotest.failf "%s: entry %d differs from the dense product"
+              (shape_label shape) j)
+        y)
+    band_shapes
+
+let test_band_log_det () =
+  List.iter
+    (fun ((n, kl, ku) as shape) ->
+      (* complex: against the dense complex determinant *)
+      let band, dense = random_band n ~kl ~ku in
+      let log_abs, phase = Cband.log_abs_det band in
+      let d = Clu.det dense in
+      check_float ~tol:1e-12 (shape_label shape ^ " log|det|")
+        (log (Cx.modulus d)) log_abs;
+      check_float ~tol:1e-12 (shape_label shape ^ " phase re")
+        (Cx.re d /. Cx.modulus d) (Cx.re phase);
+      check_float ~tol:1e-12 (shape_label shape ^ " phase im")
+        (Cx.im d /. Cx.modulus d) (Cx.im phase);
+      (* real: against Lu, sign included *)
+      let band, dense = random_band ~real:true n ~kl ~ku in
+      let log_abs, phase = Cband.log_abs_det band in
+      let expected, sign = Lu.log_abs_det (real_part dense) in
+      let label = shape_label shape in
+      check_float ~tol:1e-12 (label ^ " real log|det|") expected log_abs;
+      Alcotest.(check (float 0.0))
+        (label ^ " sign") (float_of_int sign) (Cx.re phase);
+      Alcotest.(check (float 0.0)) (label ^ " real phase im") 0.0 (Cx.im phase))
+    band_shapes
+
+(* column k is zero, so step k meets an exactly zero pivot (row
+   operations keep a zero column zero) *)
+let zero_column_band n ~kl ~ku ~col =
+  let band, dense = random_band n ~kl ~ku in
+  for i = max 0 (col - ku) to min (n - 1) (col + kl) do
+    Cband.set band i col 0.0 0.0;
+    Cmatrix.set dense i col Cx.zero
+  done;
+  (band, dense)
+
+let test_band_zero_pivot () =
+  let n, kl, ku = (9, 2, 3) in
+  let band, dense = zero_column_band n ~kl ~ku ~col:4 in
+  let _, patched = Cband.factor_regularized band in
+  Alcotest.(check bool) "pivot patched" true patched;
+  let u = Cband.left_null_vector band in
+  check_rel_vec "left null vector" u (Clu.left_null_vector dense);
+  let r = Cvec.norm_inf (Cband.vec_mul u band) in
+  if r > 1e-10 then Alcotest.failf "u·a = %.2e" r;
+  let log_abs, phase = Cband.log_abs_det band in
+  Alcotest.(check (float 0.0))
+    "log|det| of a singular matrix" neg_infinity log_abs;
+  Alcotest.(check (float 0.0)) "sign 0" 0.0 (Cx.re phase);
+  let real_band, real_dense = zero_column_band n ~kl ~ku ~col:0 in
+  let _, sign = Lu.log_abs_det (real_part real_dense) in
+  Alcotest.(check int) "dense Lu agrees: sign 0" 0 sign;
+  Alcotest.(check (float 0.0)) "band sign 0 at column 0" 0.0
+    (Cx.re (snd (Cband.log_abs_det real_band)))
+
+let test_band_outside_rejected () =
+  let a = Cband.create ~n:5 ~kl:1 ~ku:2 in
+  let outside = Invalid_argument "Cband.set: entry outside the band" in
+  Alcotest.check_raises "below the band" outside (fun () ->
+      Cband.set a 3 1 1.0 0.0);
+  Alcotest.check_raises "above the band" outside (fun () ->
+      Cband.set a 0 3 1.0 0.0)
+
 let test_cvec_normalize_phase () =
   let v = Cvec.init 2 (fun i -> if i = 0 then Cx.make 0.0 2.0 else Cx.one) in
   let n = Cvec.normalize v in
@@ -574,6 +756,20 @@ let () =
           Alcotest.test_case "complex determinant" `Quick test_clu_det;
           Alcotest.test_case "cvec phase normalization" `Quick
             test_cvec_normalize_phase;
+        ] );
+      ( "band lu",
+        [
+          Alcotest.test_case "transposed solve matches Clu" `Quick
+            test_band_solve_transposed;
+          Alcotest.test_case "left null vector matches Clu" `Quick
+            test_band_left_null_vector;
+          Alcotest.test_case "vec_mul matches Cmatrix" `Quick test_band_vec_mul;
+          Alcotest.test_case "log|det| matches Clu and Lu" `Quick
+            test_band_log_det;
+          Alcotest.test_case "exact zero pivot and singular det" `Quick
+            test_band_zero_pivot;
+          Alcotest.test_case "entries outside the band rejected" `Quick
+            test_band_outside_rejected;
         ] );
       ( "complex extras",
         [

@@ -783,6 +783,193 @@ let prop_geometric_upper_bound_heavyish =
             z > 0.0 && z < 1.0
       end)
 
+(* ---- banded Q(z) against the dense kernels ---- *)
+
+let banded_paper_q n =
+  let env = paper_env ~servers:n in
+  let lambda = 0.64 *. float_of_int n *. Environment.availability env in
+  Qbd.create ~env ~lambda ~mu:1.0
+
+let banded_erlang_q () =
+  let op =
+    Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k:2 ~rate:0.1)
+  in
+  let inop = Urs_prob.Phase_type.of_hyperexponential (exp_dist 2.0) in
+  Qbd.create
+    ~env:(Environment.create_ph ~servers:3 ~operative:op ~inoperative:inop ())
+    ~lambda:2.0 ~mu:1.0
+
+let banded_coxian_q () =
+  let cox =
+    Urs_prob.Phase_type.create ~alpha:[| 1.0; 0.0 |]
+      ~t_matrix:(M.of_arrays [| [| -0.2; 0.15 |]; [| 0.0; -0.02 |] |])
+  in
+  let inop = Urs_prob.Phase_type.of_hyperexponential (exp_dist 2.0) in
+  Qbd.create
+    ~env:(Environment.create_ph ~servers:3 ~operative:cox ~inoperative:inop ())
+    ~lambda:2.0 ~mu:1.0
+
+let banded_models () =
+  List.map
+    (fun n -> (Printf.sprintf "paper N=%d" n, banded_paper_q n))
+    [ 1; 2; 5; 10 ]
+  @ [
+      ("erlang", banded_erlang_q ());
+      ("coxian", banded_coxian_q ());
+      ("crews", Qbd.create ~env:(crews_env ~crews:2) ~lambda:2.0 ~mu:1.0);
+    ]
+
+(* L, W, then per boundary level j < N: P(J = j) and Σ_i i·v_j(i), as
+   the dense-LU solver computed them before the band kernel *)
+let banded_pinned =
+  [
+    ( "paper N=1", 1.7778974028861441, 2.7811742711030636,
+      [| 0.35998762580918209 |], [| 0.67424265937079109 |] );
+    ( "paper N=2", 2.1675709522663666, 1.6953713283588283,
+      [| 0.2197043753168112; 0.2808974220851882 |],
+      [| 1.0419389367951375; 1.3321852256523736 |] );
+    ( "paper N=5", 3.7103833421994192, 1.1608344407841242,
+      [| 0.037274914784428355; 0.11914207404513594; 0.19040732742020472;
+         0.20286676393937245; 0.16210664497889327 |],
+      [| 0.72079763689381771; 2.3038916223545849; 3.6819757200292429;
+         3.9229228676513381; 3.1348136568252674 |] );
+    ( "paper N=10", 6.6459969602423241, 1.0396368047812943,
+      [| 0.0016210079466698578; 0.010362478354508486; 0.033121662934551502;
+         0.070578003833915062; 0.11279448668586861; 0.14421032656766597;
+         0.15364682928957457; 0.14031498524516395; 0.11212244772885241;
+         0.07964002499239696 |],
+      [| 0.10312249285230006; 0.65922232938833636; 2.107077078451757;
+         4.4899104601588231; 7.1755667147632938; 9.1741267027969027;
+         9.774444117916504; 8.9263288424978029; 7.1328531748197888;
+         5.0665480921120762 |] );
+    ( "erlang", 3.0515773560481714, 1.5257886780240857,
+      [| 0.10695142673873684; 0.21390499824341236; 0.21406369026022176 |],
+      [| 0.77666767215358679; 1.5550097128177709; 1.5592088365343111 |] );
+    ( "coxian", 2.964443155633901, 1.4822215778169505,
+      [| 0.109164648919053; 0.21832952696111979; 0.21836573801826295 |],
+      [| 0.93062349960501467; 1.8620684804189476; 1.8640312382051589 |] );
+    ( "crews", 2.1639458270572236, 1.0819729135286118,
+      [| 0.13045311887372632; 0.26093260466992635; 0.26129657426096142;
+         0.17582287726477583; 0.091506813286198793; 0.041526656205464779 |],
+      [| 0.64238499030624752; 1.2865514336980493; 1.2898042493243356;
+         0.86608892511933522; 0.44485842903021761; 0.19498478037524988 |] );
+  ]
+
+let check_rel ~tol msg expected actual =
+  let rel =
+    abs_float (actual -. expected) /. Float.max 1e-300 (abs_float expected)
+  in
+  if not (rel <= tol) then
+    Alcotest.failf "%s: expected %.17g, got %.17g (relative %.2e)" msg expected
+      actual rel
+
+let test_banded_left_vectors_match_dense () =
+  List.iter
+    (fun (name, q) ->
+      let sol = solve_exn q in
+      Array.iteri
+        (fun k z ->
+          let band = Qbd.left_null_vector q z in
+          let dense = Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q z) in
+          let diff =
+            Urs_linalg.Cvec.norm_inf (Urs_linalg.Cvec.sub band dense)
+            /. Urs_linalg.Cvec.norm_inf dense
+          in
+          if diff > 1e-12 then
+            Alcotest.failf "%s: eigenvalue %d: band vs dense left vector %.2e"
+              name k diff)
+        (Spectral.eigenvalues sol))
+    (banded_models ())
+
+let test_banded_paper_bandwidth () =
+  List.iter
+    (fun n ->
+      let q = banded_paper_q n in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "N=%d" n)
+        (n + 1, n + 1)
+        (Qbd.bandwidths q))
+    [ 2; 5; 10 ]
+
+let test_banded_solutions_match_pinned () =
+  List.iter
+    (fun (name, q) ->
+      let l, w, levels, weighted =
+        match List.find_opt (fun (n, _, _, _, _) -> n = name) banded_pinned with
+        | Some (_, l, w, levels, weighted) -> (l, w, levels, weighted)
+        | None -> Alcotest.failf "no pinned values for %s" name
+      in
+      let sol = solve_exn q in
+      check_rel ~tol:1e-10 (name ^ " L") l (Spectral.mean_queue_length sol);
+      check_rel ~tol:1e-10 (name ^ " W") w (Spectral.mean_response_time sol);
+      Array.iteri
+        (fun j v ->
+          check_rel ~tol:1e-10
+            (Printf.sprintf "%s P(J=%d)" name j)
+            levels.(j) (V.sum v);
+          let acc = ref 0.0 in
+          Array.iteri (fun i p -> acc := !acc +. (float_of_int i *. p)) v;
+          check_rel ~tol:1e-10
+            (Printf.sprintf "%s mode-weighted level %d" name j)
+            weighted.(j) !acc)
+        (Spectral.boundary_vectors sol))
+    (banded_models ())
+
+let test_banded_geometric_matches_pinned () =
+  let g = geo_exn (banded_paper_q 20) in
+  check_rel ~tol:1e-10 "z_s" 0.64003077902788175
+    (Geometric.dominant_eigenvalue g);
+  check_rel ~tol:1e-10 "L" 1.7780152905835689 (Geometric.mean_queue_length g)
+
+let test_banded_eigen_residual_matches_dense () =
+  List.iter
+    (fun (name, q) ->
+      let zs = Spectral.eigenvalues (solve_exn q) in
+      Array.iteri
+        (fun k z ->
+          let u = Qbd.left_null_vector q z in
+          let dense =
+            Urs_linalg.Cvec.norm_inf
+              (Urs_linalg.Cmatrix.vec_mul u (Qbd.char_poly_at q z))
+            /. Urs_linalg.Cvec.norm_inf u
+          in
+          let band = Qbd.eigenpair_residual q z u in
+          if abs_float (band -. dense) > 1e-15 *. dense then
+            Alcotest.failf "%s: eigenvalue %d: residual %.17g vs dense %.17g"
+              name k band dense)
+        zs;
+      (* the band holds exactly the dense entries: row i is e_i·Q(z) *)
+      let z = zs.(Array.length zs - 1) in
+      let s = Qbd.s q in
+      let dense = Qbd.char_poly_at q z and band = Qbd.char_poly_band q z in
+      for i = 0 to s - 1 do
+        let e = Array.init s (fun j -> if j = i then Cx.one else Cx.zero) in
+        let row = Urs_linalg.Cband.vec_mul e band in
+        for j = 0 to s - 1 do
+          let d = Urs_linalg.Cmatrix.get dense i j in
+          if Cx.re row.(j) <> Cx.re d || Cx.im row.(j) <> Cx.im d then
+            Alcotest.failf "%s: Q(z) entry (%d, %d) differs from the dense one"
+              name i j
+        done
+      done)
+    (banded_models ())
+
+let test_banded_det_matches_dense () =
+  let q = banded_paper_q 6 in
+  let s = Qbd.s q in
+  List.iter
+    (fun z ->
+      let t_full = Qbd.q1 q and b = Qbd.b q and c = Qbd.q2 q in
+      let dense =
+        M.init s s (fun i j ->
+            M.get b i j +. (z *. M.get t_full i j) +. (z *. z *. M.get c i j))
+      in
+      let log_det, sign = Urs_linalg.Lu.log_abs_det dense in
+      let expected = float_of_int sign *. exp (log_det /. float_of_int s) in
+      check_rel ~tol:1e-12 (Printf.sprintf "det at z=%g" z) expected
+        (Qbd.det_q_scaled q z))
+    [ 0.05; 0.3; 0.5; 0.7; 0.9; 0.99 ]
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "urs_mmq"
@@ -880,6 +1067,21 @@ let () =
             test_spectral_queue_quantiles;
           Alcotest.test_case "geometric queue quantiles" `Quick
             test_geometric_queue_quantiles;
+        ] );
+      ( "banded Q(z)",
+        [
+          Alcotest.test_case "paper bandwidth is N+1" `Quick
+            test_banded_paper_bandwidth;
+          Alcotest.test_case "left vectors match dense" `Quick
+            test_banded_left_vectors_match_dense;
+          Alcotest.test_case "solutions match pinned dense values" `Quick
+            test_banded_solutions_match_pinned;
+          Alcotest.test_case "geometric N=20 matches pinned" `Quick
+            test_banded_geometric_matches_pinned;
+          Alcotest.test_case "Q(z) band and residual match dense" `Quick
+            test_banded_eigen_residual_matches_dense;
+          Alcotest.test_case "det Q(z) matches dense" `Quick
+            test_banded_det_matches_dense;
         ] );
       ( "matrix_geometric",
         [
