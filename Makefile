@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench bench-gate bench-baseline sim-bench fmt smoke \
+.PHONY: all build test bench sim-bench fmt smoke \
 	doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke ci clean
 
 all: build
@@ -13,17 +13,6 @@ test:
 
 bench:
 	dune exec bench/main.exe
-
-# Time the N=5 paper model and fail if the spectral solver regressed
-# more than 2x against the committed baseline (BENCH_MAX_RATIO to
-# override). `make bench-baseline` refreshes the baseline.
-bench-gate:
-	dune exec bench/main.exe -- n5
-	dune exec bench/check_baseline.exe
-
-bench-baseline:
-	dune exec bench/main.exe -- n5
-	cp BENCH_solvers.json BENCH_baseline.json
 
 # The pinned ocamlformat (see .ocamlformat) is not a build dependency of
 # the library, so a missing binary only skips the check locally; CI
@@ -78,18 +67,28 @@ trace-smoke: build
 	dune exec scripts/validate_trace.exe -- --require-flows \
 	  /tmp/urs_trace_flows.json
 
-# Perf-history round trip: two quick bench runs append to a scratch
-# history (URS_BENCH_HISTORY keeps the committed BENCH_history.jsonl
-# out of it), then `urs report` must render the trend and exit 0 —
-# both entries come from this machine, so the regression gate holds.
+# Perf-history round trip, against the one perf gate (`urs report`):
+# two quick bench runs append to a scratch history (URS_BENCH_HISTORY
+# keeps the committed BENCH_history.jsonl out of it), and `urs report`
+# must render the trend and exit 0 — both entries come from this
+# machine, so the gate holds. Then a hand-written entry with spectral
+# at 10x the last scratch run is appended, and `urs report` must exit 1.
 report-smoke: build
 	rm -f /tmp/urs_report_history.jsonl
 	URS_BENCH_HISTORY=/tmp/urs_report_history.jsonl \
 	  dune exec bench/main.exe -- n5 > /dev/null
 	URS_BENCH_HISTORY=/tmp/urs_report_history.jsonl \
 	  dune exec bench/main.exe -- n5 > /dev/null
-	dune exec bin/urs_cli.exe -- report --detect \
+	dune exec bin/urs_cli.exe -- report \
 	  --history /tmp/urs_report_history.jsonl --last 2
+	s=$$(sed -n 's/.*"spectral":{"seconds":\([^,]*\),.*/\1/p' \
+	  /tmp/urs_report_history.jsonl | tail -n 1); \
+	printf '{"schema":"urs-perf/1","time":%s,"git_rev":"injected","ocaml":"-","jobs":1,"sections":{},"solvers":{"spectral":{"seconds":%s,"minor_words":0,"promoted_words":0,"major_words":0}}}\n' \
+	  "$$(date +%s)" "$$(awk -v s="$$s" 'BEGIN { print 10 * s }')" \
+	  >> /tmp/urs_report_history.jsonl
+	dune exec bin/urs_cli.exe -- report \
+	  --history /tmp/urs_report_history.jsonl > /dev/null; \
+	  test $$? -eq 1
 	@echo "report-smoke: ok"
 
 # Service-level soak: `urs serve` under SOAK_SECONDS (default 60) of

@@ -459,8 +459,8 @@ let section_n5 () =
   time_solver "mg" Urs.Solver.Matrix_geometric 40;
   time_solver "approx" Urs.Solver.Approximate 400;
   Format.printf
-    "@.(CI compares the spectral gauge in BENCH_solvers.json against the@.\
-     committed BENCH_baseline.json and fails on a >2x regression)@.";
+    "@.(CI appends this run to BENCH_history.jsonl and `urs report` fails@.\
+     when spectral is more than 2x its best-known run there)@.";
   flush ()
 
 (* ---- simulation engine throughput gate: the Figure-8 workload ---- *)
@@ -558,7 +558,8 @@ let section_sim () =
   | None -> Format.printf "  GC pause seconds     %12s@." "(capture off)");
   Format.printf
     "@.(CI's sim-perf job runs this section twice against a scratch@.\
-     history and fails when seconds/event regresses beyond --max-ratio)@.";
+     history and `urs report --max-ratio 1.5` fails when seconds/event@.\
+     regresses beyond 1.5x)@.";
   flush ()
 
 (* ---- scale: the exact solver's stages as N grows ---- *)

@@ -331,37 +331,21 @@ let read_ledger_records ?filter cmd path =
       warn_ledger_stats cmd stats;
       Ok (List.rev rev)
 
+(* A ledger params/summary field for one-line display: strings bare,
+   other JSON values encoded, "-" when absent. *)
+let str_field kvs k =
+  match List.assoc_opt k kvs with
+  | Some (Urs_obs.Json.String s) -> s
+  | Some j -> Urs_obs.Json.to_string j
+  | None -> "-"
+
 (* ---- shared argument parsing ---- *)
 
 let dist_conv =
-  (* "exp:RATE" | "h2:W1,R1,R2" | "det:VALUE" | "erlang:K,RATE" *)
   let parse s =
-    match String.split_on_char ':' s with
-    | [ "exp"; r ] -> (
-        match float_of_string_opt r with
-        | Some r when r > 0.0 -> Ok (Urs_prob.Distribution.exponential ~rate:r)
-        | _ -> Error (`Msg "exp: needs a positive rate"))
-    | [ "h2"; rest ] -> (
-        match List.map float_of_string_opt (String.split_on_char ',' rest) with
-        | [ Some w1; Some r1; Some r2 ] when w1 >= 0.0 && w1 <= 1.0 ->
-            Ok (Urs_prob.Distribution.h2 ~w1 ~r1 ~r2)
-        | _ -> Error (`Msg "h2: needs W1,RATE1,RATE2"))
-    | [ "det"; v ] -> (
-        match float_of_string_opt v with
-        | Some v when v > 0.0 -> Ok (Urs_prob.Distribution.deterministic v)
-        | _ -> Error (`Msg "det: needs a positive value"))
-    | [ "erlang"; rest ] -> (
-        match String.split_on_char ',' rest with
-        | [ k; r ] -> (
-            match (int_of_string_opt k, float_of_string_opt r) with
-            | Some k, Some r when k >= 1 && r > 0.0 ->
-                Ok (Urs_prob.Distribution.erlang ~k ~rate:r)
-            | _ -> Error (`Msg "erlang: needs K,RATE"))
-        | _ -> Error (`Msg "erlang: needs K,RATE"))
-    | _ -> Error (`Msg (Printf.sprintf "unknown distribution %S" s))
+    Result.map_error (fun m -> `Msg m) (Urs.Solve_service.dist_of_string s)
   in
-  let print ppf d = Urs_prob.Distribution.pp ppf d in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Urs_prob.Distribution.pp)
 
 let servers =
   Arg.(value & opt int 10 & info [ "N"; "servers" ] ~doc:"Number of servers.")
@@ -402,30 +386,18 @@ let make_model ?repair_crews servers lambda mu operative inoperative =
 (* ---- solve ---- *)
 
 let strategy_conv =
-  let parse = function
-    | "exact" -> Ok `Exact
-    | "approx" -> Ok `Approx
-    | "mg" -> Ok `Mg
-    | "sim" -> Ok `Sim
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
-  in
-  let print ppf v =
-    Format.pp_print_string ppf
-      (match v with `Exact -> "exact" | `Approx -> "approx" | `Mg -> "mg" | `Sim -> "sim")
-  in
-  Arg.conv (parse, print)
+  Arg.enum
+    [
+      ("exact", Urs.Solver.Exact);
+      ("approx", Urs.Solver.Approximate);
+      ("mg", Urs.Solver.Matrix_geometric);
+      ("sim", Urs.Solver.Simulation Urs.Solver.default_sim_options);
+    ]
 
 let solve_cmd =
-  let run obs servers lambda mu operative inoperative crews meth =
+  let run obs servers lambda mu operative inoperative crews strategy =
     with_obs obs @@ fun pool ->
     let m = make_model ?repair_crews:crews servers lambda mu operative inoperative in
-    let strategy =
-      match meth with
-      | `Exact -> Urs.Solver.Exact
-      | `Approx -> Urs.Solver.Approximate
-      | `Mg -> Urs.Solver.Matrix_geometric
-      | `Sim -> Urs.Solver.Simulation Urs.Solver.default_sim_options
-    in
     Format.printf "%a@.@." Urs.Model.pp m;
     Format.printf "stability: %a@.@." Urs_mmq.Stability.pp_verdict
       (Urs.Model.stability m);
@@ -437,7 +409,7 @@ let solve_cmd =
   in
   let meth =
     Arg.(
-      value & opt strategy_conv `Exact
+      value & opt strategy_conv Urs.Solver.Exact
       & info [ "method" ] ~doc:"Solution method: exact | approx | mg | sim.")
   in
   Cmd.v
@@ -584,18 +556,11 @@ let metrics_cmd =
 (* ---- sweep ---- *)
 
 let sweep_cmd =
-  let run obs servers lambda mu operative inoperative crews axis meth values
+  let run obs servers lambda mu operative inoperative crews axis strategy values
       range pinned_rate no_cache =
     with_obs obs @@ fun pool ->
     let m =
       make_model ?repair_crews:crews servers lambda mu operative inoperative
-    in
-    let strategy =
-      match meth with
-      | `Exact -> Urs.Solver.Exact
-      | `Approx -> Urs.Solver.Approximate
-      | `Mg -> Urs.Solver.Matrix_geometric
-      | `Sim -> Urs.Solver.Simulation Urs.Solver.default_sim_options
     in
     let values =
       match (values, range) with
@@ -661,7 +626,7 @@ let sweep_cmd =
   in
   let meth =
     Arg.(
-      value & opt strategy_conv `Exact
+      value & opt strategy_conv Urs.Solver.Exact
       & info [ "method" ] ~doc:"Solution method: exact | approx | mg | sim.")
   in
   let values =
@@ -814,12 +779,6 @@ let doctor_cmd =
 (* ---- inspect ---- *)
 
 let inspect_cmd =
-  let str_field kvs k =
-    match List.assoc_opt k kvs with
-    | Some (Urs_obs.Json.String s) -> s
-    | Some j -> Urs_obs.Json.to_string j
-    | None -> "-"
-  in
   let render_traces format (traces : Urs_obs.Convergence.trace list) =
     match format with
     | `Json ->
@@ -1598,7 +1557,7 @@ let watch_cmd =
 (* ---- report ---- *)
 
 let report_cmd =
-  let run history last format max_ratio ledger_path detect =
+  let run history last format max_ratio ledger_path =
     match Urs_obs.Perf.read_file history with
     | Error msg -> `Error (false, "cannot read history: " ^ msg)
     | Ok [] -> `Error (false, Printf.sprintf "%s: no history entries" history)
@@ -1634,24 +1593,8 @@ let report_cmd =
                       ^ Urs_obs.Perf.render_ledger_digest
                           (Urs_obs.Perf.ledger_digest records))
                 | `Json | `Data -> ())));
-        let drift_breach =
-          if not detect then false
-          else begin
-            let drifts = Urs_obs.Perf.detect_drift entries in
-            let solvers = List.length r.Urs_obs.Perf.trends in
-            (match format with
-            | `Table | `Markdown ->
-                print_string ("\n" ^ Urs_obs.Perf.render_drifts ~solvers drifts)
-            | `Json ->
-                print_string
-                  (Urs_obs.Json.to_string (Urs_obs.Perf.drifts_json drifts)
-                  ^ "\n")
-            | `Data -> ());
-            Urs_obs.Perf.drift_regressions drifts <> []
-          end
-        in
         (* the CI gate greps the exit status, not the output *)
-        if r.Urs_obs.Perf.breaches <> [] || drift_breach then exit 1;
+        if r.Urs_obs.Perf.breaches <> [] then exit 1;
         `Ok ()
   in
   let history =
@@ -1700,31 +1643,16 @@ let report_cmd =
             "Also digest a run-ledger JSONL (records and wall time by kind) \
              into table/markdown output.")
   in
-  let detect =
-    Arg.(
-      value & flag
-      & info [ "detect" ]
-          ~doc:
-            "Also run CUSUM change-point detection over each solver's \
-             per-run wall times (in log space — a regression is a \
-             multiplicative step). Any step is reported with the run and \
-             commit it arrived with; a confirmed upward step on a gated \
-             solver also makes the command exit 1. Short histories (fewer \
-             than 10 runs per solver) never flag.")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:
          "Aggregate the bench perf history (and optionally a run ledger) \
           into a regression report: per-solver wall-time and \
           alloc-per-solve trends, ratio vs. best-known. Exits 1 when the \
-          latest gated (spectral) entry regresses beyond --max-ratio (or, \
-          with $(b,--detect), when a change-point step is confirmed on a \
-          gated solver), so CI can gate on trends.")
+          latest gated (spectral or sim) entry regresses beyond \
+          --max-ratio, so CI can gate on trends.")
     Term.(
-      ret
-        (const run $ history $ last $ format $ max_ratio $ ledger_path
-       $ detect))
+      ret (const run $ history $ last $ format $ max_ratio $ ledger_path))
 
 (* ---- query ---- *)
 
@@ -1864,12 +1792,6 @@ let query_cmd =
 let tail_cmd =
   let run port kind n since_seq follow =
     let open Urs_obs in
-    let str_field kvs k =
-      match List.assoc_opt k kvs with
-      | Some (Json.String s) -> s
-      | Some j -> Json.to_string j
-      | None -> "-"
-    in
     let print_record (r : Ledger.record) =
       if r.Ledger.kind = "http.access" then
         Format.printf "[seq %d] %s %s -> %s (%.3fms) trace=%s@." r.Ledger.seq
@@ -1990,12 +1912,6 @@ let trace_grep_cmd =
     else begin
       let open Urs_obs in
       let matches = ref 0 in
-      let str_field kvs k =
-        match List.assoc_opt k kvs with
-        | Some (Json.String s) -> s
-        | Some j -> Json.to_string j
-        | None -> "-"
-      in
       (match ledger_path with
       | None -> ()
       | Some path -> (

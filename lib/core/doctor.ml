@@ -606,111 +606,6 @@ let check_slo_stage () =
       ~emit:(emit_latency ~slow:100) ~expect_breach:true;
   ]
 
-(* ---- perf-drift stage ----
-
-   The change-point detector behind `urs report --detect` gates perf
-   regressions, so the doctor drills it the way it drills the SLO
-   engine: seeded synthetic perf series in which the right answer is
-   known — i.i.d. lognormal noise around a stable baseline must stay
-   quiet, and the same noise with an injected 2x step must flag within
-   a few points of the injection, with a sane magnitude estimate. *)
-
-let drift_noise = 0.05
-let drift_step_at = 20
-
-let drift_series ~seed ~n ~step_at ~step =
-  let rng = Urs_prob.Pcg.create seed in
-  let xs = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let level = if i >= step_at then step else 1.0 in
-    (* multiplicative noise around the spectral solver's ~2.6 ms scale *)
-    xs.(i) <- 0.0026 *. level *. exp (drift_noise *. Urs_prob.Pcg.normal rng)
-  done;
-  xs
-
-let check_perf_drift_stage () =
-  Span.with_ ~name:"urs_doctor_perf_drift" @@ fun () ->
-  let module Cp = Urs_stats.Changepoint in
-  let detect xs = Cp.detect (Array.map log xs) in
-  let quiet_check =
-    match detect (drift_series ~seed:100 ~n:40 ~step_at:max_int ~step:1.0) with
-    | None ->
-        {
-          name = "perf-drift quiet";
-          value = 0.0;
-          detail = "no change-point across 40 i.i.d. noise points";
-          verdict = Diagnostics.Ok;
-        }
-    | Some c ->
-        {
-          name = "perf-drift quiet";
-          value = float_of_int c.Cp.start;
-          detail =
-            Printf.sprintf "false alarm at run %d (stat %.1f)" c.Cp.start
-              c.Cp.statistic;
-          verdict =
-            Diagnostics.Suspect
-              [ "perf-drift: detector false-alarmed on i.i.d. noise" ];
-        }
-  in
-  let step_checks =
-    let step_at = drift_step_at in
-    match detect (drift_series ~seed:200 ~n:30 ~step_at ~step:2.0) with
-    | None ->
-        [
-          {
-            name = "perf-drift step";
-            value = nan;
-            detail =
-              Printf.sprintf "missed an injected 2x step at run %d" step_at;
-            verdict =
-              Diagnostics.Suspect [ "perf-drift: detector missed a 2x step" ];
-          };
-        ]
-    | Some c ->
-        let delay = c.Cp.detected - step_at in
-        let located = abs (c.Cp.start - step_at) in
-        let ratio = exp c.Cp.shift in
-        [
-          {
-            name = "perf-drift step";
-            value = float_of_int delay;
-            detail =
-              Printf.sprintf
-                "2x step at run %d: flagged start %d, detected at %d (delay \
-                 %d)"
-                step_at c.Cp.start c.Cp.detected delay;
-            verdict =
-              (if c.Cp.direction = Cp.Up && delay <= 3 && located <= 3 then
-                 Diagnostics.Ok
-               else
-                 Diagnostics.Suspect
-                   [
-                     Printf.sprintf
-                       "perf-drift: step flagged %d points late (start off \
-                        by %d)"
-                       delay located;
-                   ]);
-          };
-          {
-            name = "perf-drift magnitude";
-            value = ratio;
-            detail = Printf.sprintf "estimated step %.2fx (injected 2.00x)" ratio;
-            verdict =
-              (if ratio > 1.5 && ratio < 2.7 then Diagnostics.Ok
-               else
-                 Diagnostics.Degraded
-                   [
-                     Printf.sprintf
-                       "perf-drift: step magnitude estimate %.2fx is far \
-                        from the injected 2x"
-                       ratio;
-                   ]);
-          };
-        ]
-  in
-  quiet_check :: step_checks
-
 let quick_grid = [ (5, 4.0) ]
 let full_grid = [ (5, 4.0); (10, 8.0); (12, 8.0) ]
 
@@ -724,7 +619,7 @@ let run ?(quick = false) ?thresholds ?pool () =
   (* the grid models fan out across the pool, and each model's
      simulation replications nest on the same pool (the pool supports
      nested batches); check order is the grid order either way *)
-  Urs_obs.Progress.start ~total:(List.length grid + 5) "doctor:models";
+  Urs_obs.Progress.start ~total:(List.length grid + 4) "doctor:models";
   let checks =
     Span.with_ ~name:"urs_doctor_run" (fun () ->
         let per_model =
@@ -761,12 +656,7 @@ let run ?(quick = false) ?thresholds ?pool () =
            and breached workloads under a fake clock *)
         let slo = check_slo_stage () in
         Urs_obs.Progress.tick "doctor:models";
-        (* perf-drift stage: drill the report --detect change-point
-           detector on seeded synthetic series with known answers *)
-        let perf_drift = check_perf_drift_stage () in
-        Urs_obs.Progress.tick "doctor:models";
-        List.concat per_model @ warmup @ memory @ convergence @ slo
-        @ perf_drift)
+        List.concat per_model @ warmup @ memory @ convergence @ slo)
   in
   Urs_obs.Progress.finish "doctor:models";
   let verdict =

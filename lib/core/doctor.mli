@@ -85,14 +85,6 @@ val check_slo_stage : unit -> check list
     healthy and deliberately breached workloads for both SLI kinds
     (error-rate and latency) — and verify the healthy drills stay
     quiet while the breached ones alarm. Four ["slo ..."] checks;
-    {!run} includes them just before the perf-drift stage. *)
-
-val check_perf_drift_stage : unit -> check list
-(** Change-point-detector drill behind [urs report --detect]: seeded
-    synthetic perf series with known answers — i.i.d. lognormal noise
-    around a stable baseline must stay quiet, and the same noise with
-    an injected 2x step must flag within a few runs of the injection
-    with a sane magnitude estimate. Three ["perf-drift ..."] checks;
     {!run} includes them as its final stage. *)
 
 val paper_model : servers:int -> lambda:float -> Model.t

@@ -241,113 +241,6 @@ let analyze ?(max_ratio = 2.0) ?(gate = default_gate) entries =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Change-point scan: a CUSUM pass over each solver's per-run wall
-   times (in log space — a regression is a multiplicative step), so
-   `urs report --detect` can tell an abrupt level shift, and the commit
-   it arrived with, from ambient noise. *)
-
-type drift = {
-  d_solver : string;
-  d_gated : bool;  (* counted towards the --detect exit-1 decision *)
-  d_change : Urs_stats.Changepoint.change;
-  d_ratio : float;  (* exp of the log-space shift: the step factor *)
-  d_git_rev : string;  (* revision of the first post-change entry *)
-  d_time : float;  (* time of that entry *)
-  d_runs : int;  (* series length the detector saw *)
-}
-
-let detect_drift ?(gate = default_gate) ?threshold ?drift ?warmup entries =
-  let solver_names =
-    List.sort_uniq String.compare
-      (List.concat_map (fun e -> List.map fst e.solvers) entries)
-  in
-  List.filter_map
-    (fun name ->
-      let runs =
-        List.filter_map
-          (fun e ->
-            Option.map (fun s -> (e, s.seconds)) (List.assoc_opt name e.solvers))
-          entries
-      in
-      let xs =
-        Array.of_list
-          (List.map (fun (_, s) -> if s > 0.0 then log s else nan) runs)
-      in
-      match Urs_stats.Changepoint.detect ?threshold ?drift ?warmup xs with
-      | None -> None
-      | Some c ->
-          let e, _ = List.nth runs c.Urs_stats.Changepoint.start in
-          Some
-            {
-              d_solver = name;
-              d_gated = List.mem name gate;
-              d_change = c;
-              d_ratio = exp c.Urs_stats.Changepoint.shift;
-              d_git_rev = e.git_rev;
-              d_time = e.time;
-              d_runs = List.length runs;
-            })
-    solver_names
-
-let drift_regressions drifts =
-  List.filter
-    (fun d ->
-      d.d_gated && d.d_change.Urs_stats.Changepoint.direction = Urs_stats.Changepoint.Up)
-    drifts
-
-let render_drifts ~solvers drifts =
-  let buf = Buffer.create 256 in
-  (match drifts with
-  | [] ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "change-points: none detected across %d solver series\n" solvers)
-  | ds ->
-      Buffer.add_string buf "change-points (CUSUM over log wall times):\n";
-      List.iter
-        (fun d ->
-          let c = d.d_change in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  %-10s %.2fx step %s at run %d/%d (rev %s), detected at run \
-                %d, stat %.1f%s\n"
-               d.d_solver d.d_ratio
-               (match c.Urs_stats.Changepoint.direction with
-               | Urs_stats.Changepoint.Up -> "UP"
-               | Urs_stats.Changepoint.Down -> "down")
-               (c.Urs_stats.Changepoint.start + 1)
-               d.d_runs d.d_git_rev
-               (c.Urs_stats.Changepoint.detected + 1)
-               c.Urs_stats.Changepoint.statistic
-               (if d.d_gated then " [gated]" else "")))
-        ds);
-  Buffer.contents buf
-
-let drifts_json drifts =
-  Json.List
-    (List.map
-       (fun d ->
-         let c = d.d_change in
-         Json.Obj
-           [
-             ("solver", Json.String d.d_solver);
-             ("gated", Json.Bool d.d_gated);
-             ( "direction",
-               Json.String
-                 (match c.Urs_stats.Changepoint.direction with
-                 | Urs_stats.Changepoint.Up -> "up"
-                 | Urs_stats.Changepoint.Down -> "down") );
-             ("ratio", Json.Float d.d_ratio);
-             ("start_run", Json.Int c.Urs_stats.Changepoint.start);
-             ("detected_run", Json.Int c.Urs_stats.Changepoint.detected);
-             ("statistic", Json.Float c.Urs_stats.Changepoint.statistic);
-             ("git_rev", Json.String d.d_git_rev);
-             ("time", Json.Float d.d_time);
-             ("runs", Json.Int d.d_runs);
-           ])
-       drifts)
-
-(* ------------------------------------------------------------------ *)
 (* Rendering. *)
 
 let si_words w =

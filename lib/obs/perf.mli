@@ -83,44 +83,6 @@ val analyze : ?max_ratio:float -> ?gate:string list -> entry list -> report
     [max_ratio] (default [2.0]) times its best-known run. [urs report]
     exits nonzero iff [breaches] is non-empty. *)
 
-(** {1 Change-point detection}
-
-    [urs report --detect]: a {!Urs_stats.Changepoint} CUSUM pass over
-    each solver's per-run wall times, in log space (a regression is a
-    multiplicative step — the detector's [shift] is a log-ratio). *)
-
-type drift = {
-  d_solver : string;
-  d_gated : bool;
-      (** In the gate list: an upward step here is a confirmed
-          regression ([urs report --detect] exits 1). *)
-  d_change : Urs_stats.Changepoint.change;
-  d_ratio : float;  (** The step factor, [exp shift] — 2.0 is "2x slower". *)
-  d_git_rev : string;
-      (** Revision of the first post-change entry: the commit the step
-          arrived with. *)
-  d_time : float;  (** Time of that entry. *)
-  d_runs : int;  (** Length of the series the detector saw. *)
-}
-
-val detect_drift :
-  ?gate:string list -> ?threshold:float -> ?drift:float -> ?warmup:int ->
-  entry list -> drift list
-(** One detector pass per solver series (history order), returning only
-    the solvers where a step was confirmed. Short series (fewer than
-    [warmup + 2] points) never flag — the committed history's few-run
-    tails stay quiet. Detector knobs default to
-    {!Urs_stats.Changepoint.detect}'s. *)
-
-val drift_regressions : drift list -> drift list
-(** The gated, upward (slower) subset: what [--detect] exits 1 on. *)
-
-val render_drifts : solvers:int -> drift list -> string
-(** Human rendering; [solvers] is the number of series scanned (for
-    the "none detected" line). *)
-
-val drifts_json : drift list -> Json.t
-
 val render_table : report -> string
 (** Human-readable fixed-width table (solver rows: runs, best, latest,
     ratio, alloc-per-solve, gate status, and the full trend). *)

@@ -351,6 +351,41 @@ let test_solve_service_parse_request () =
       Alcotest.(check int) "seed" 5 seed
   | Ok _ -> Alcotest.fail "expected the simulation strategy"
 
+(* the compact distribution grammar shared by the CLI flags and the
+   solve service: one accepted row per family, then every rejection *)
+let test_dist_of_string () =
+  let module D = Urs_prob.Distribution in
+  let show d = Format.asprintf "%a" D.pp d in
+  List.iter
+    (fun (input, expected) ->
+      match Urs.Solve_service.dist_of_string input with
+      | Error msg -> Alcotest.failf "%S rejected: %s" input msg
+      | Ok d ->
+          Alcotest.(check string) input (show expected) (show d);
+          check_float (input ^ " mean") (D.mean expected) (D.mean d))
+    [
+      ("exp:2.5", D.exponential ~rate:2.5);
+      ("h2:0.3,0.1,2", D.h2 ~w1:0.3 ~r1:0.1 ~r2:2.0);
+      ("det:0.04", D.deterministic 0.04);
+      (" erlang:2,0.1 ", D.erlang ~k:2 ~rate:0.1);
+    ];
+  List.iter
+    (fun (input, expected) ->
+      match Urs.Solve_service.dist_of_string input with
+      | Ok _ -> Alcotest.failf "%S accepted" input
+      | Error msg -> Alcotest.(check string) input expected msg)
+    [
+      ("exp:0", "exp: needs a positive rate");
+      ("exp:x", "exp: needs a positive rate");
+      ("h2:1.5,1,2", "h2: needs W1,RATE1,RATE2");
+      ("h2:0.5,1", "h2: needs W1,RATE1,RATE2");
+      ("det:-1", "det: needs a positive value");
+      ("erlang:0,1", "erlang: needs K,RATE");
+      ("erlang:2", "erlang: needs K,RATE");
+      ("gamma:2", {|unknown distribution "gamma:2"|});
+      ("exp", {|unknown distribution "exp"|});
+    ]
+
 (* ---- loadgen ---- *)
 
 let with_ping_server f =
@@ -498,6 +533,8 @@ let () =
             test_solve_service_client_errors;
           Alcotest.test_case "request parsing" `Quick
             test_solve_service_parse_request;
+          Alcotest.test_case "distribution grammar" `Quick
+            test_dist_of_string;
         ] );
       ( "loadgen",
         [

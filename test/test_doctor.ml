@@ -389,21 +389,6 @@ let test_slo_stage () =
             c.Urs.Doctor.detail)
     checks
 
-let test_perf_drift_stage () =
-  (* seeded synthetic series with known answers: quiet noise, an
-     injected 2x step caught within a few runs, magnitude ~2x *)
-  let checks = Urs.Doctor.check_perf_drift_stage () in
-  Alcotest.(check int) "three checks" 3 (List.length checks);
-  List.iter
-    (fun (c : Urs.Doctor.check) ->
-      match c.Urs.Doctor.verdict with
-      | Diagnostics.Ok -> ()
-      | v ->
-          Alcotest.failf "%s: %s (%s)" c.Urs.Doctor.name
-            (Format.asprintf "%a" Diagnostics.pp_verdict v)
-            c.Urs.Doctor.detail)
-    checks
-
 let () =
   Alcotest.run "urs_doctor"
     [
@@ -434,7 +419,5 @@ let () =
           Alcotest.test_case "no-convergence escalation" `Quick
             test_no_convergence_escalation;
           Alcotest.test_case "slo stage drills" `Quick test_slo_stage;
-          Alcotest.test_case "perf-drift stage drills" `Quick
-            test_perf_drift_stage;
         ] );
     ]

@@ -2648,43 +2648,76 @@ let test_tail_route () =
   let bad = Routes.tail_response [ ("since_seq", "-3") ] in
   Alcotest.(check int) "negative cursor rejected" 400 bad.Http.status
 
-(* ---- perf drift detection ---- *)
+(* ---- the perf gate: `urs report` over the history ---- *)
 
-let test_perf_detect_drift () =
-  let entry i factor =
-    {
-      Perf.time = 1000.0 +. (3600.0 *. float_of_int i);
-      git_rev = Printf.sprintf "r%02d" i;
-      ocaml = "5.1.0";
-      jobs = 1;
-      sections = [];
-      solvers =
-        [ ( "spectral",
-            {
-              Perf.seconds = 0.0026 *. factor;
-              minor_words = 1.0;
-              promoted_words = 0.0;
-              major_words = 0.0;
-            } ) ];
-    }
-  in
-  let entries =
-    List.init 24 (fun i -> entry i (if i >= 16 then 2.0 else 1.0))
-  in
-  (match Perf.detect_drift entries with
-  | [ d ] ->
-      Alcotest.(check string) "solver" "spectral" d.Perf.d_solver;
-      Alcotest.(check bool) "gated" true d.Perf.d_gated;
-      Alcotest.(check string) "commit the step arrived with" "r16"
-        d.Perf.d_git_rev;
-      check_float ~tol:0.2 "2x ratio" 2.0 d.Perf.d_ratio;
-      Alcotest.(check int) "regression subset" 1
-        (List.length (Perf.drift_regressions [ d ]))
-  | ds -> Alcotest.failf "expected 1 drift, got %d" (List.length ds));
-  (* a short tail — like the committed history — never flags *)
-  let short = List.init 4 (fun i -> entry i 1.0) in
-  Alcotest.(check int) "short history quiet" 0
-    (List.length (Perf.detect_drift short))
+(* Gated rows of the committed BENCH_history.jsonl: the two n5 spectral
+   runs (best 0.0025807 s per solve) and the Figure-8 sim row (seconds
+   per event). *)
+let committed_spectral = [ 0.0026065230369567869; 0.0025807499885559084 ]
+let committed_sim = [ 7.2706404578254212e-08 ]
+
+(* The spectral value the retired baseline file held; that checker
+   failed iff a fresh run exceeded 2x it, so the smallest run it failed
+   is the next float above. *)
+let old_baseline_spectral = 0.0026239454746246338
+
+(* The CLI, built alongside the tests (see test/dune). *)
+let urs_exe = Filename.concat (Filename.concat ".." "bin") "urs_cli.exe"
+
+(* Each history also carries an ungated solver whose latest run is 10x
+   its best: the exit status must not see it. *)
+let gate_history solver base injected =
+  List.mapi
+    (fun i seconds ->
+      let latest = i = List.length base in
+      {
+        Perf.time = float_of_int (i + 1);
+        git_rev = "r" ^ string_of_int i;
+        ocaml = "5.1.1";
+        jobs = 1;
+        sections = [];
+        solvers =
+          [
+            (solver, perf_stat ~seconds ());
+            ("mg", perf_stat ~seconds:(if latest then 0.2 else 0.02) ());
+          ];
+      })
+    (base @ [ injected ])
+
+let test_perf_gate_drill () =
+  let spectral_best = List.fold_left min infinity committed_spectral in
+  let sim = List.hd committed_sim in
+  List.iter
+    (fun (label, solver, max_ratio, base, injected, expect_breach) ->
+      let history = gate_history solver base injected in
+      let r = Perf.analyze ~max_ratio history in
+      Alcotest.(check (list string))
+        (label ^ ": breaches") (if expect_breach then [ solver ] else [])
+        r.Perf.breaches;
+      let path = Filename.temp_file "urs_gate" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          List.iter (Perf.append path) history;
+          let status =
+            Sys.command
+              (Printf.sprintf "%s report --history %s --max-ratio %g > %s"
+                 (Filename.quote urs_exe) (Filename.quote path) max_ratio
+                 Filename.null)
+          in
+          Alcotest.(check int)
+            (label ^ ": urs report exit status")
+            (if r.Perf.breaches <> [] then 1 else 0)
+            status))
+    [
+      ( "spectral, smallest run the baseline checker failed",
+        "spectral", 2.0, committed_spectral,
+        Float.succ (2.0 *. old_baseline_spectral), true );
+      ( "spectral 1.9x best", "spectral", 2.0, committed_spectral,
+        1.9 *. spectral_best, false );
+      ("sim 2x step", "sim", 1.5, committed_sim, 2.0 *. sim, true);
+      ("sim 1.4x step", "sim", 1.5, committed_sim, 1.4 *. sim, false);
+    ]
 
 let () =
   Alcotest.run "urs_obs"
@@ -2881,10 +2914,9 @@ let () =
             test_wait_since_timeout;
           Alcotest.test_case "/tail route" `Quick test_tail_route;
         ] );
-      ( "perf-drift",
+      ( "perf-gate",
         [
-          Alcotest.test_case "detect and attribute" `Quick
-            test_perf_detect_drift;
+          Alcotest.test_case "report gate drill" `Quick test_perf_gate_drill;
         ] );
       ( "build-info",
         [ Alcotest.test_case "gauge" `Quick test_build_info ] );

@@ -246,81 +246,6 @@ let prop_welford_mean_bounds =
       let m = Welford.mean w in
       m >= Empirical.minimum data -. 1e-9 && m <= Empirical.maximum data +. 1e-9)
 
-(* ---- Changepoint (CUSUM) ---- *)
-
-(* a synthetic perf series: multiplicative lognormal noise around a
-   baseline, with an optional step factor from [step_at] on — the same
-   shape the detector sees from BENCH_history.jsonl (in log space) *)
-let perf_series ~seed ~n ~noise ~step_at ~step =
-  let rng = Urs_prob.Pcg.create seed in
-  let xs = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let level = if i >= step_at then step else 1.0 in
-    xs.(i) <- log (0.0026 *. level *. exp (noise *. Urs_prob.Pcg.normal rng))
-  done;
-  xs
-
-let test_changepoint_flags_step () =
-  let step_at = 20 in
-  let xs = perf_series ~seed:200 ~n:30 ~noise:0.05 ~step_at ~step:2.0 in
-  match Changepoint.detect xs with
-  | None -> Alcotest.fail "missed an injected 2x step"
-  | Some c ->
-      Alcotest.(check bool) "direction up" true (c.Changepoint.direction = Changepoint.Up);
-      if abs (c.Changepoint.start - step_at) > 3 then
-        Alcotest.failf "start %d not within 3 of injection %d"
-          c.Changepoint.start step_at;
-      if c.Changepoint.detected - step_at > 3 then
-        Alcotest.failf "detected %d more than 3 points after injection %d"
-          c.Changepoint.detected step_at;
-      (* shift is a log-ratio: exp shift should be near the 2x factor *)
-      let ratio = exp c.Changepoint.shift in
-      if ratio < 1.5 || ratio > 2.7 then
-        Alcotest.failf "step magnitude %.2fx far from injected 2x" ratio
-
-let test_changepoint_flags_down_step () =
-  let xs = perf_series ~seed:200 ~n:30 ~noise:0.05 ~step_at:20 ~step:0.5 in
-  match Changepoint.detect xs with
-  | None -> Alcotest.fail "missed an injected 0.5x step"
-  | Some c ->
-      Alcotest.(check bool) "direction down" true
-        (c.Changepoint.direction = Changepoint.Down)
-
-let test_changepoint_quiet_on_noise () =
-  (* seeded i.i.d. noise around a stable baseline: no alarm *)
-  let xs = perf_series ~seed:100 ~n:40 ~noise:0.05 ~step_at:max_int ~step:1.0 in
-  (match Changepoint.detect xs with
-  | None -> ()
-  | Some c ->
-      Alcotest.failf "false alarm at %d (stat %.1f)" c.Changepoint.detected
-        c.Changepoint.statistic);
-  (* constant series: the scale floor keeps z finite and quiet *)
-  Alcotest.(check bool) "constant series quiet" true
-    (Changepoint.detect (Array.make 30 1.0) = None)
-
-let test_changepoint_short_series () =
-  (* fewer than warmup + 2 points can never flag, whatever the data *)
-  let xs = [| 1.0; 1.0; 1.0; 8.0; 8.0 |] in
-  Alcotest.(check bool) "short series" true (Changepoint.detect xs = None);
-  Alcotest.(check bool) "empty" true (Changepoint.detect [||] = None);
-  (* the same step flags once the series is long enough *)
-  let long = Array.init 20 (fun i -> if i < 14 then 1.0 else 8.0) in
-  Alcotest.(check bool) "long enough flags" true
-    (Changepoint.detect ~warmup:4 long <> None)
-
-let test_changepoint_skips_nonfinite () =
-  let xs = Array.init 30 (fun i -> if i = 5 then nan else 1.0) in
-  Alcotest.(check bool) "nan skipped, quiet" true (Changepoint.detect xs = None)
-
-let test_changepoint_invalid_args () =
-  let xs = Array.make 20 1.0 in
-  Alcotest.check_raises "threshold <= 0"
-    (Invalid_argument "Changepoint.detect: threshold <= 0") (fun () ->
-      ignore (Changepoint.detect ~threshold:0.0 xs));
-  Alcotest.check_raises "drift < 0"
-    (Invalid_argument "Changepoint.detect: drift < 0") (fun () ->
-      ignore (Changepoint.detect ~drift:(-0.1) xs))
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "urs_stats"
@@ -372,21 +297,6 @@ let () =
           Alcotest.test_case "known warm-up" `Quick
             test_welch_truncation_known_warmup;
           Alcotest.test_case "tail mean" `Quick test_welch_tail_mean;
-        ] );
-      ( "changepoint",
-        [
-          Alcotest.test_case "flags 2x step within 3 points" `Quick
-            test_changepoint_flags_step;
-          Alcotest.test_case "flags downward step" `Quick
-            test_changepoint_flags_down_step;
-          Alcotest.test_case "quiet on seeded iid noise" `Quick
-            test_changepoint_quiet_on_noise;
-          Alcotest.test_case "short series never flag" `Quick
-            test_changepoint_short_series;
-          Alcotest.test_case "non-finite points skipped" `Quick
-            test_changepoint_skips_nonfinite;
-          Alcotest.test_case "invalid arguments" `Quick
-            test_changepoint_invalid_args;
         ] );
       ( "properties",
         qc [ prop_histogram_total; prop_quantile_monotone; prop_welford_mean_bounds ] );
