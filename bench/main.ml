@@ -1106,7 +1106,9 @@ let write_bench_json path =
 
 (* Whenever a gate section (n5, sim) ran, append one urs-perf/1 line
    (see Perf.schema in perf.mli) to the committed BENCH_history.jsonl —
-   never truncate; `urs report` consumes the trend. URS_BENCH_HISTORY
+   never truncate; `urs report` consumes the trend. Each row carries
+   this machine's identity, so the report can mark a comparison with a
+   best-known run from another host. URS_BENCH_HISTORY
    overrides the path (CI's report-smoke and sim-perf jobs use a
    scratch file so their gates only compare same-machine runs). *)
 let append_history () =
@@ -1129,6 +1131,7 @@ let append_history () =
           git_rev = Urs_obs.Perf.git_rev ();
           ocaml = Sys.ocaml_version;
           jobs;
+          host = Some (Urs_obs.Perf.current_host ());
           sections =
             List.rev_map (fun (name, seconds, _) -> (name, seconds)) !bench_records;
           solvers = List.rev stats;

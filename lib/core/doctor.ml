@@ -287,23 +287,28 @@ let check_warmup ?thresholds ?pool ~sim model =
             fail msg (Diagnostics.Degraded [ name ^ " transient: " ^ msg ])
         | Ok tr ->
             let initial = Mq.Transient.empty_all_operative tr in
-            (* uniformization cost grows linearly with t (the Poisson
-               series needs ~q·t terms), so the cross-check covers the
-               initial ramp — the regime where the transient solution
-               actually differs from steady state; late-time agreement
-               is already covered by the exact-vs-sim check *)
+            (* bucket i is a time average over [i·w, (i+1)·w]: compare
+               the running mean over [0, (i+1)·w] with the exact time
+               average over the same window. The running mean keeps the
+               ramp (its first point is bucket 0) at a fraction of a
+               single bucket's replication noise. The first five buckets
+               cover the initial ramp, where the transient differs from
+               steady state; exact-vs-sim covers late times *)
+            let rec running i sum =
+              if i < 5 && i < Array.length avg && Float.is_finite avg.(i)
+              then
+                let sum = sum +. avg.(i) in
+                (float_of_int (i + 1) *. width, sum /. float_of_int (i + 1))
+                :: running (i + 1) sum
+              else []
+            in
+            let measured = running 0 0.0 in
             let pairs =
-              List.filter_map
-                (fun i ->
-                  if i < Array.length avg && Float.is_finite avg.(i) then begin
-                    let time = (float_of_int i +. 0.5) *. width in
-                    Some
-                      ( time,
-                        avg.(i),
-                        Mq.Transient.mean_jobs_at tr ~initial ~time )
-                  end
-                  else None)
-                [ 0; 1; 2; 3; 4 ]
+              List.map2
+                (fun (time, m) e -> (time, m, e))
+                measured
+                (Mq.Transient.mean_jobs_averages tr ~initial
+                   ~times:(List.map fst measured))
             in
             let worst, verdict =
               Diagnostics.check_transient_trajectory ?thresholds

@@ -57,8 +57,10 @@ val check_warmup :
     private timeline registry; the replication-averaged trajectory is
     fed to Welch's truncation rule — checked against the warmup the
     [sim] options imply (0.1 × duration) — and cross-checked against
-    the uniformization transient expectation
-    ({!Urs_mmq.Transient.mean_jobs_at}) at several time points. Returns
+    the uniformization transient expectation: the running mean of the
+    trajectory over [[0, t]] against
+    {!Urs_mmq.Transient.mean_jobs_averages} at the first five bucket
+    edges. Returns
     the ["... warmup"] and ["... sim-vs-transient"] checks; {!run}
     includes them for the N=5 paper model. *)
 

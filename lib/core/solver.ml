@@ -42,64 +42,51 @@ let strategy_label = function
 
 let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
   let verdict = Model.stability model in
+  (* the phase-type solvers differ only in their solve, how their error
+     type says "unstable", and the (L, W, z_s) they report *)
+  let phase_type solve ~unstable pp_e measures =
+    match Option.map solve (Model.qbd model) with
+    | None -> Error Not_phase_type
+    | Some (Error e) ->
+        Error
+          (match unstable e with
+          | Some v -> Unstable v
+          | None -> Solver_failure (render pp_e e))
+    | Some (Ok sol) ->
+        let mean_jobs, mean_response, z = measures sol in
+        Ok
+          {
+            strategy_used = strategy;
+            mean_jobs;
+            mean_response;
+            utilization = verdict.Mq.Stability.utilization;
+            dominant_eigenvalue = Some z;
+            confidence_half_width = None;
+          }
+  in
   if not verdict.Mq.Stability.stable then Error (Unstable verdict)
   else
     match strategy with
-    | Exact -> (
-        match Model.qbd model with
-        | None -> Error Not_phase_type
-        | Some q -> (
-            match Mq.Spectral.solve ?max_iter q with
-            | Error (Mq.Spectral.Unstable v) -> Error (Unstable v)
-            | Error e -> Error (Solver_failure (render Mq.Spectral.pp_error e))
-            | Ok sol ->
-                Ok
-                  {
-                    strategy_used = strategy;
-                    mean_jobs = Mq.Spectral.mean_queue_length sol;
-                    mean_response = Mq.Spectral.mean_response_time sol;
-                    utilization = verdict.Mq.Stability.utilization;
-                    dominant_eigenvalue =
-                      Some (Mq.Spectral.dominant_eigenvalue sol);
-                    confidence_half_width = None;
-                  }))
-    | Approximate -> (
-        match Model.qbd model with
-        | None -> Error Not_phase_type
-        | Some q -> (
-            match Mq.Geometric.solve q with
-            | Error (Mq.Geometric.Unstable v) -> Error (Unstable v)
-            | Error e -> Error (Solver_failure (render Mq.Geometric.pp_error e))
-            | Ok sol ->
-                Ok
-                  {
-                    strategy_used = strategy;
-                    mean_jobs = Mq.Geometric.mean_queue_length sol;
-                    mean_response = Mq.Geometric.mean_response_time sol;
-                    utilization = verdict.Mq.Stability.utilization;
-                    dominant_eigenvalue =
-                      Some (Mq.Geometric.dominant_eigenvalue sol);
-                    confidence_half_width = None;
-                  }))
-    | Matrix_geometric -> (
-        match Model.qbd model with
-        | None -> Error Not_phase_type
-        | Some q -> (
-            match Mq.Matrix_geometric.solve q with
-            | Error (Mq.Matrix_geometric.Unstable v) -> Error (Unstable v)
-            | Error e ->
-                Error (Solver_failure (render Mq.Matrix_geometric.pp_error e))
-            | Ok sol ->
-                Ok
-                  {
-                    strategy_used = strategy;
-                    mean_jobs = Mq.Matrix_geometric.mean_queue_length sol;
-                    mean_response = Mq.Matrix_geometric.mean_response_time sol;
-                    utilization = verdict.Mq.Stability.utilization;
-                    dominant_eigenvalue =
-                      Some (Mq.Matrix_geometric.spectral_radius_estimate sol);
-                    confidence_half_width = None;
-                  }))
+    | Exact ->
+        Mq.Spectral.(
+          phase_type (solve ?max_iter)
+            ~unstable:(function Unstable v -> Some v | _ -> None)
+            pp_error (fun s ->
+              (mean_queue_length s, mean_response_time s, dominant_eigenvalue s)))
+    | Approximate ->
+        Mq.Geometric.(
+          phase_type solve
+            ~unstable:(function Unstable v -> Some v | _ -> None)
+            pp_error (fun s ->
+              (mean_queue_length s, mean_response_time s, dominant_eigenvalue s)))
+    | Matrix_geometric ->
+        Mq.Matrix_geometric.(
+          phase_type solve
+            ~unstable:(function Unstable v -> Some v | _ -> None)
+            pp_error (fun s ->
+              ( mean_queue_length s,
+                mean_response_time s,
+                spectral_radius_estimate s )))
     | Simulation opts ->
         let cfg =
           {

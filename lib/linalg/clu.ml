@@ -10,12 +10,9 @@ type t = {
   im : float array;
   perm : int array;
   sign : int;
-  min_pivot : float;
 }
 
 exception Singular
-
-let dim f = f.n
 
 (* [patch]: when [Some eps], zero pivots are replaced by [eps] so the
    factorization always completes (inverse-iteration use). *)
@@ -30,7 +27,6 @@ let factor_general ?patch a =
     a.Cmatrix.data;
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1 in
-  let min_pivot = ref infinity in
   let patched = ref false in
   let singular = ref false in
   (try
@@ -70,8 +66,6 @@ let factor_general ?patch a =
        end;
        let rk = k * n in
        let pr = re.(rk + k) and pi = im.(rk + k) in
-       let pm = sqrt ((pr *. pr) +. (pi *. pi)) in
-       if pm < !min_pivot then min_pivot := pm;
        let denom = (pr *. pr) +. (pi *. pi) in
        for i = k + 1 to n - 1 do
          let ri = i * n in
@@ -92,13 +86,10 @@ let factor_general ?patch a =
      done
    with Exit -> ());
   if !singular then Error `Singular
-  else Ok ({ n; re; im; perm; sign = !sign; min_pivot = !min_pivot }, !patched)
+  else Ok ({ n; re; im; perm; sign = !sign }, !patched)
 
 let factor a =
   match factor_general a with Ok (f, _) -> Ok f | Error e -> Error e
-
-let factor_exn a =
-  match factor_general a with Ok (f, _) -> f | Error `Singular -> raise Singular
 
 let factor_regularized a =
   let eps = 1e-300 +. (epsilon_float *. Cmatrix.max_abs a) in
@@ -184,51 +175,16 @@ let solve_transposed f b =
   done;
   x
 
-let solve_matrix f b =
-  let n = dim f in
-  if b.Cmatrix.rows <> n then invalid_arg "Clu.solve_matrix: dimension mismatch";
-  let cols = b.Cmatrix.cols in
-  let x = Cmatrix.create n cols in
-  for j = 0 to cols - 1 do
-    let xj = solve f (Cmatrix.col b j) in
-    for i = 0 to n - 1 do
-      Cmatrix.set x i j xj.(i)
-    done
-  done;
-  x
-
-let det_of_factor f =
-  let n = dim f in
-  let acc = ref (Cx.of_float (float_of_int f.sign)) in
-  for i = 0 to n - 1 do
-    acc := Cx.mul !acc (Cx.make f.re.((i * n) + i) f.im.((i * n) + i))
-  done;
-  !acc
-
 let det a =
   match factor_general a with
-  | Ok (f, _) -> det_of_factor f
   | Error `Singular -> Cx.zero
-
-let smallest_pivot f = f.min_pivot
-
-let inverse a =
-  match factor a with
-  | Error `Singular -> Error `Singular
-  | Ok f -> (
-      let n = dim f in
-      try
-        let inv = Cmatrix.create n n in
-        for j = 0 to n - 1 do
-          let e = Cvec.create n in
-          e.(j) <- Cx.one;
-          let x = solve f e in
-          for i = 0 to n - 1 do
-            Cmatrix.set inv i j x.(i)
-          done
-        done;
-        Ok inv
-      with Singular -> Error `Singular)
+  | Ok (f, _) ->
+      let n = f.n in
+      let acc = ref (Cx.of_float (float_of_int f.sign)) in
+      for i = 0 to n - 1 do
+        acc := Cx.mul !acc (Cx.make f.re.((i * n) + i) f.im.((i * n) + i))
+      done;
+      !acc
 
 let solve_system a b =
   match factor a with

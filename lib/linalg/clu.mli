@@ -12,30 +12,17 @@ val factor : Cmatrix.t -> (t, [ `Singular ]) result
 (** Factor a square complex matrix; [Error `Singular] when a pivot is
     exactly zero. *)
 
-val factor_exn : Cmatrix.t -> t
-
 val factor_regularized : Cmatrix.t -> t * bool
-(** Like {!factor_exn} but replaces exactly-zero pivots with a tiny
+(** Like {!factor} but replaces exactly-zero pivots with a tiny
     multiple of the matrix norm, so that factorization always succeeds.
     The boolean reports whether any pivot was patched. Intended for
     inverse iteration on (near-)singular matrices. *)
 
-val dim : t -> int
 val solve : t -> Cvec.t -> Cvec.t
 val solve_transposed : t -> Cvec.t -> Cvec.t
 
-val solve_matrix : t -> Cmatrix.t -> Cmatrix.t
-(** [solve_matrix f b] solves [a x = b] column by column. *)
-
 val det : Cmatrix.t -> Cx.t
 (** Determinant; [0] for singular matrices. *)
-
-val det_of_factor : t -> Cx.t
-
-val smallest_pivot : t -> float
-(** Modulus of the smallest pivot — a cheap singularity indicator. *)
-
-val inverse : Cmatrix.t -> (Cmatrix.t, [ `Singular ]) result
 
 val solve_system : Cmatrix.t -> Cvec.t -> (Cvec.t, [ `Singular ]) result
 

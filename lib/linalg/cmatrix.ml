@@ -18,15 +18,9 @@ let identity n = init n n (fun i j -> if i = j then Cx.one else Cx.zero)
 let of_real (a : Matrix.t) =
   init a.Matrix.rows a.Matrix.cols (fun i j -> Cx.of_float (Matrix.get a i j))
 
-let dims m = (m.rows, m.cols)
-
 let get m i j = m.data.((i * m.cols) + j)
 
 let set m i j x = m.data.((i * m.cols) + j) <- x
-
-let copy m = { m with data = Array.copy m.data }
-
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let conj_transpose m = init m.cols m.rows (fun i j -> Cx.conj (get m j i))
 
@@ -43,22 +37,6 @@ let sub a b =
   { a with data = Array.init (Array.length a.data) (fun k -> Cx.sub a.data.(k) b.data.(k)) }
 
 let scale x m = { m with data = Array.map (Cx.mul x) m.data }
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Cmatrix.mul: dimension mismatch";
-  let c = create a.rows b.cols in
-  let n = b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> Cx.zero then
-        for j = 0 to n - 1 do
-          c.data.((i * n) + j) <-
-            Cx.add c.data.((i * n) + j) (Cx.mul aik b.data.((k * n) + j))
-        done
-    done
-  done;
-  c
 
 let mul_vec m x =
   if m.cols <> Cvec.dim x then invalid_arg "Cmatrix.mul_vec: dimension mismatch";
@@ -81,36 +59,8 @@ let vec_mul x m =
   done;
   y
 
-let row m i = Array.init m.cols (fun j -> get m i j)
-
-let col m j = Array.init m.rows (fun i -> get m i j)
-
 let max_abs m =
   Array.fold_left (fun acc z -> Float.max acc (Cx.modulus z)) 0.0 m.data
 
-let norm_inf m =
-  let best = ref 0.0 in
-  for i = 0 to m.rows - 1 do
-    let acc = ref 0.0 in
-    for j = 0 to m.cols - 1 do
-      acc := !acc +. Cx.modulus m.data.((i * m.cols) + j)
-    done;
-    if !acc > !best then best := !acc
-  done;
-  !best
-
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && max_abs (sub a b) <= tol
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf ", ";
-      Cx.pp ppf (get m i j)
-    done;
-    Format.fprintf ppf "]";
-    if i < m.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

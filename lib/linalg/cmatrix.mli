@@ -9,11 +9,8 @@ val identity : int -> t
 val of_real : Matrix.t -> t
 (** Embed a real matrix. *)
 
-val dims : t -> int * int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
-val copy : t -> t
-val transpose : t -> t
 
 val conj_transpose : t -> t
 (** Hermitian transpose. *)
@@ -21,7 +18,6 @@ val conj_transpose : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : Cx.t -> t -> t
-val mul : t -> t -> t
 
 val mul_vec : t -> Cvec.t -> Cvec.t
 (** Column-vector product [m x]. *)
@@ -29,14 +25,7 @@ val mul_vec : t -> Cvec.t -> Cvec.t
 val vec_mul : Cvec.t -> t -> Cvec.t
 (** Row-vector product [x m]. *)
 
-val row : t -> int -> Cvec.t
-val col : t -> int -> Cvec.t
-
 val max_abs : t -> float
 (** Largest entry modulus. *)
 
-val norm_inf : t -> float
-(** Maximum absolute row sum (using moduli). *)
-
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -62,7 +62,7 @@ let default_thresholds =
     (* measured trajectory vs uniformization transient expectation:
        replication averages over a handful of runs are noisy, and the
        simulator's initial phase mix differs slightly from the
-       most-likely-mode start of Transient.solve *)
+       most-likely-mode start of Transient.empty_all_operative *)
     transient_rel_degraded = 0.35;
     transient_rel_suspect = 1.0;
     (* memory stage: the N=5 paper solve tops out around a few tens of

@@ -63,7 +63,7 @@ type thresholds = {
           this fraction of the run horizon before {!check_warmup}
           degrades (default [0.05]). *)
   transient_rel_degraded : float;
-      (** Measured-vs-[Transient.solve] trajectory disagreement,
+      (** Measured-vs-{!Transient} trajectory disagreement,
           relative to the expectation floored at one job (default
           [0.35] — replication averages over a handful of runs are
           noisy, and the simulator's initial phase mix differs slightly

@@ -85,14 +85,7 @@ let solve ?(scan_points = 400) q =
   let t0 = Span.now () in
   let result = solve_inner ~scan_points q in
   let wall = Span.now () -. t0 in
-  let params =
-    [
-      ("servers", Json.Int (Environment.servers (Qbd.env q)));
-      ("modes", Json.Int (Qbd.s q));
-      ("lambda", Json.Float (Qbd.lambda q));
-      ("mu", Json.Float (Qbd.mu q));
-    ]
-  in
+  let params = Qbd.ledger_params q in
   (match result with
   | Ok sol ->
       Metrics.set m_dominant sol.z;

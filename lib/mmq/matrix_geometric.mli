@@ -6,8 +6,11 @@
     For levels [j >= N] the steady state satisfies [v_{N+r} = v_N Rʳ]
     where [R] is the minimal nonnegative solution of
     [Q0 + R Q1 + R² Q2 = 0], computed here by the classical fixed-point
-    iteration [R ← −(Q0 + R²Q2) Q1⁻¹]. The boundary levels are solved
-    with the same block-tridiagonal elimination as the spectral method. *)
+    iteration [R ← −(Q0 + R²Q2) Q1⁻¹]. The boundary levels [0..N] are
+    the spectral method's elimination itself ({!Qbd.eliminate_boundary}
+    with [Φ0 = I], [Φ1 = Rᵀ]), entirely in real arithmetic; what this
+    solver checks independently is the level-[≥ N] solution and its
+    normalization [v_N (I−R)⁻¹ 1]. *)
 
 type error =
   | Unstable of Stability.verdict

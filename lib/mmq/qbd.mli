@@ -48,6 +48,10 @@ val transition_block : t -> int -> Urs_linalg.Matrix.t
     of [v_j] in the level-[j] balance equation. Always nonsingular (a
     strictly row-diagonally-dominant M-matrix transpose). *)
 
+val ledger_params : t -> (string * Urs_obs.Json.t) list
+(** [servers], [modes], [lambda] and [mu]: the parameters every
+    exact-solver ledger record carries. *)
+
 val q0 : t -> Urs_linalg.Matrix.t
 val q1 : t -> Urs_linalg.Matrix.t
 val q2 : t -> Urs_linalg.Matrix.t
@@ -89,3 +93,41 @@ val generator_residual : t -> Urs_linalg.Vec.t array -> int -> float
 (** [generator_residual t vs j] is the infinity-norm residual of the
     level-[j] balance equation given consecutive probability vectors
     [vs = [| v_{j−1}; v_j; v_{j+1} |]] — a diagnostic used in tests. *)
+
+(** {1 Boundary levels}
+
+    One block-tridiagonal elimination of levels [0..N], shared by the
+    exact solvers: both write level [N+r] as [v_{N+r}ᵀ = Φ_r γᵀ] — the
+    spectral method with column [k] of [Φ_r] equal to [z_k^{N+r} u_kᵀ],
+    the matrix-geometric method with [Φ0 = I], [Φ1 = Rᵀ]. [B = λI] and
+    diagonal [C_j] keep every LU real; only the final null vector is
+    complex. *)
+
+type boundary = {
+  null : Urs_linalg.Cvec.t;  (** [γ] up to scale *)
+  levels : Urs_linalg.Cvec.t array;  (** [x_0 .. x_{N−1}], same scale *)
+  condition : float;  (** worst {!Urs_linalg.Lu.pivot_condition} *)
+}
+
+val eliminate_boundary :
+  t ->
+  phi0:Urs_linalg.Matrix.t * Urs_linalg.Matrix.t ->
+  phi1:Urs_linalg.Matrix.t * Urs_linalg.Matrix.t ->
+  (boundary, string) result
+(** [S_j = −(λS_{j−1} + T_jᵀ)⁻¹ C_{j+1}], the level [N−1] and [N]
+    equations, the final null vector and back substitution; [phi0],
+    [phi1] are [(re, im)] pairs. Each LU counts toward
+    [urs_spectral_lu_factorizations_total]. *)
+
+val real_probabilities :
+  Urs_linalg.Cvec.t array -> (Urs_linalg.Vec.t array, string) result
+(** Real parts; [Error] on an imaginary part above [1e-6] or a
+    probability below [−1e-8]. *)
+
+val normalize_boundary :
+  boundary ->
+  tail_mass:Urs_linalg.Cx.t ->
+  (Urs_linalg.Cx.t array * Urs_linalg.Vec.t array, string) result
+(** Scale by the total mass ([tail_mass]: levels [>= N] for the
+    unscaled [null]) into [γ] and, through {!real_probabilities},
+    [v_0 .. v_{N−1}]. *)

@@ -1,9 +1,7 @@
 module M = Urs_linalg.Matrix
 module V = Urs_linalg.Vec
-module CM = Urs_linalg.Cmatrix
 module CV = Urs_linalg.Cvec
 module Cx = Urs_linalg.Cx
-module Clu = Urs_linalg.Clu
 
 let log_src = Logs.Src.create "urs.spectral" ~doc:"spectral expansion solver"
 
@@ -43,11 +41,6 @@ let m_residual =
   Metrics.gauge ~labels:strategy_labels
     ~help:"A-posteriori balance/normalization residual (last successful solve)"
     "urs_spectral_residual"
-
-let m_lu =
-  Metrics.counter
-    ~help:"Real LU factorizations during boundary elimination"
-    "urs_spectral_lu_factorizations_total"
 
 let m_conj =
   Metrics.counter
@@ -91,7 +84,20 @@ let boundary_vectors t = Array.map V.copy t.boundary
 
 (* ---- solving ---- *)
 
+(* z^e by binary powering *)
+let pow z e =
+  let rec go acc base e =
+    if e = 0 then acc
+    else if e land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (e asr 1)
+    else go acc (Cx.mul base base) (e asr 1)
+  in
+  go Cx.one z e
+
 exception Solve_error of error
+
+let numerical = function
+  | Ok x -> x
+  | Error msg -> raise (Solve_error (Numerical msg))
 
 (* the QR sweep cap forwarded to the companion eigensolve; kept in sync
    with the Qr_eig default so the convergence recorder can report the
@@ -220,33 +226,17 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
             done;
             us)
       in
-      (* Φ_r has column k equal to z_k^{N+r} u_kᵀ, so v_{N+r}ᵀ = Φ_r γᵀ.
-         Represent complex matrices as (re, im) pairs of real matrices:
-         every block in the boundary elimination except Φ is real
-         (Bᵀ = λI and C_j is diagonal), so the expensive factorizations
-         stay in real arithmetic. *)
-      let lambda = Qbd.lambda q in
-      let worst_cond = ref 1.0 in
-      let note_cond f =
-        worst_cond := Float.max !worst_cond (Urs_linalg.Lu.pivot_condition f);
-        f
-      in
-      let pow_z k e =
-        let rec go acc base e =
-          if e = 0 then acc
-          else if e land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (e asr 1)
-          else go acc (Cx.mul base base) (e asr 1)
-        in
-        go Cx.one zs.(k) e
-      in
-      let g, xs =
+      (* Φ_r has column k equal to z_k^{N+r} u_kᵀ, so v_{N+r}ᵀ = Φ_r γᵀ;
+         the elimination itself is shared with the matrix-geometric
+         solver *)
+      let b =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "boundary") ]
           (fun () ->
             let phi r =
               let re = M.create s s and im = M.create s s in
               for k = 0 to s - 1 do
-                let zp = pow_z k (n_servers + r) in
+                let zp = pow zs.(k) (n_servers + r) in
                 for i = 0 to s - 1 do
                   let v = Cx.mul zp us.(k).(i) in
                   M.set re i k (Cx.re v);
@@ -255,150 +245,24 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
               done;
               (re, im)
             in
-            let phi0_re, phi0_im = phi 0 in
-            let phi1_re, phi1_im = phi 1 in
-            let tt j = M.transpose (Qbd.transition_block q j) in
-            let module Lu = Urs_linalg.Lu in
-            (* forward elimination of the block-tridiagonal boundary system:
-               S_j = −(λ S_{j−1} + T_jᵀ)⁻¹ C_{j+1}ᵀ, all real *)
-            let ss = Array.make (max 0 (n_servers - 1)) (M.create 0 0) in
-            let prev = ref None in
-            for j = 0 to n_servers - 2 do
-              let mj =
-                match !prev with
-                | None -> tt j
-                | Some s_prev -> M.add (M.scale lambda s_prev) (tt j)
-              in
-              Metrics.inc m_lu;
-              let f =
-                match Lu.factor mj with
-                | Ok f -> note_cond f
-                | Error `Singular ->
-                    raise (Solve_error (Numerical "singular boundary block"))
-              in
-              let cj1 = Qbd.c_diag q (j + 1) in
-              let s_j =
-                Lu.solve_matrix f
-                  (M.diagonal (Urs_linalg.Vec.scale (-1.0) cj1))
-              in
-              ss.(j) <- s_j;
-              prev := Some s_j
-            done;
-            (* level N-1 equation: x_{N-1} = W γᵀ with
-               W = −M_last⁻¹ (C Φ0) (C diagonal) *)
-            let m_last =
-              match !prev with
-              | None -> tt (n_servers - 1) (* N = 1 *)
-              | Some s_prev ->
-                  M.add (M.scale lambda s_prev) (tt (n_servers - 1))
-            in
-            Metrics.inc m_lu;
-            let f_last =
-              match Lu.factor m_last with
-              | Ok f -> note_cond f
-              | Error `Singular ->
-                  raise (Solve_error (Numerical "singular boundary block"))
-            in
-            let c_full_diag = Qbd.c_diag q n_servers in
-            let scale_rows_neg d m =
-              M.init s s (fun i j -> -.d.(i) *. M.get m i j)
-            in
-            let w_re =
-              Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_re)
-            in
-            let w_im =
-              Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_im)
-            in
-            (* level N equation: [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0 *)
-            let t_full = tt n_servers in
-            let scale_rows d m = M.init s s (fun i j -> d.(i) *. M.get m i j) in
-            let mg_re =
-              M.add (M.scale lambda w_re)
-                (M.add (M.mul t_full phi0_re) (scale_rows c_full_diag phi1_re))
-            in
-            let mg_im =
-              M.add (M.scale lambda w_im)
-                (M.add (M.mul t_full phi0_im) (scale_rows c_full_diag phi1_im))
-            in
-            let m_gamma =
-              CM.init s s (fun i j ->
-                  Cx.make (M.get mg_re i j) (M.get mg_im i j))
-            in
-            let g = Clu.null_vector m_gamma in
-            (* back substitution: x_{N-1} = W g, then x_j = S_j x_{j+1} *)
-            let g_re = CV.real_part g and g_im = CV.imag_part g in
-            let complex_apply re im vr vi =
-              (* (re + i·im)(vr + i·vi) *)
-              let a = M.mul_vec re vr and b = M.mul_vec im vi in
-              let c = M.mul_vec re vi and d = M.mul_vec im vr in
-              Array.init s (fun i -> Cx.make (a.(i) -. b.(i)) (c.(i) +. d.(i)))
-            in
-            let real_apply m v =
-              let vr = M.mul_vec m (CV.real_part v) in
-              let vi = M.mul_vec m (CV.imag_part v) in
-              Array.init s (fun i -> Cx.make vr.(i) vi.(i))
-            in
-            let xs = Array.make n_servers (CV.create s) in
-            xs.(n_servers - 1) <- complex_apply w_re w_im g_re g_im;
-            for j = n_servers - 2 downto 0 do
-              xs.(j) <- real_apply ss.(j) xs.(j + 1)
-            done;
-            (g, xs))
+            numerical (Qbd.eliminate_boundary q ~phi0:(phi 0) ~phi1:(phi 1)))
       in
       (* normalization (eq. 20): Σ_{j<N} x_j·1 + Σ_k γ_k (u_k·1) z^N/(1−z) *)
       Span.with_ ~name:"urs_spectral_stage"
         ~labels:[ ("stage", "normalization") ]
         (fun () ->
           let u_sums = Array.map CV.sum us in
-          let spectral_total =
-            let acc = ref Cx.zero in
-            for k = 0 to s - 1 do
-              let zn = pow_z k n_servers in
-              let term =
-                Cx.div
-                  (Cx.mul g.(k) (Cx.mul u_sums.(k) zn))
-                  (Cx.sub Cx.one zs.(k))
-              in
-              acc := Cx.add !acc term
-            done;
-            !acc
+          let tail_mass =
+            Array.fold_left Cx.add Cx.zero
+              (Array.init s (fun k ->
+                   Cx.div
+                     (Cx.mul b.Qbd.null.(k)
+                        (Cx.mul u_sums.(k) (pow zs.(k) n_servers)))
+                     (Cx.sub Cx.one zs.(k))))
           in
-          let total =
-            Array.fold_left
-              (fun acc x -> Cx.add acc (CV.sum x))
-              spectral_total xs
+          let gammas, boundary =
+            numerical (Qbd.normalize_boundary b ~tail_mass)
           in
-          if Cx.modulus total < 1e-300 then
-            raise (Solve_error (Numerical "normalization constant vanished"));
-          let inv_total = Cx.inv total in
-          let gammas = Array.map (fun gk -> Cx.mul gk inv_total) g in
-          let boundary =
-            Array.map
-              (fun x ->
-                let scaled = CV.scale inv_total x in
-                let imag = V.norm_inf (CV.imag_part scaled) in
-                if imag > 1e-6 then
-                  raise
-                    (Solve_error
-                       (Numerical
-                          (Printf.sprintf
-                             "boundary vector has imaginary residue %.2e" imag)));
-                CV.real_part scaled)
-              xs
-          in
-          (* sanity: boundary probabilities must be (essentially)
-             nonnegative *)
-          Array.iter
-            (fun v ->
-              Array.iter
-                (fun p ->
-                  if p < -1e-8 then
-                    raise
-                      (Solve_error
-                         (Numerical
-                            (Printf.sprintf "negative probability %.3e" p))))
-                v)
-            boundary;
           Ok
             {
               qbd = q;
@@ -407,30 +271,20 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
               u_sums;
               gammas;
               boundary;
-              boundary_condition = !worst_cond;
+              boundary_condition = b.Qbd.condition;
             })
-    with
-    | Solve_error e -> Error e
-    | Clu.Singular -> Error (Numerical "singular block during elimination")
+    with Solve_error e -> Error e
   end
 
 (* ---- queries ---- *)
 
 let num_servers t = Environment.servers (Qbd.env t.qbd)
 
-let pow_z t k e =
-  let rec go acc base e =
-    if e = 0 then acc
-    else if e land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (e asr 1)
-    else go acc (Cx.mul base base) (e asr 1)
-  in
-  go Cx.one t.zs.(k) e
-
 (* Re Σ_k γ_k f(k) z_k^j for a complex weight f *)
 let spectral_sum t ~weight ~level =
   let acc = ref Cx.zero in
   for k = 0 to Array.length t.zs - 1 do
-    acc := Cx.add !acc (Cx.mul t.gammas.(k) (Cx.mul (weight k) (pow_z t k level)))
+    acc := Cx.add !acc (Cx.mul t.gammas.(k) (Cx.mul (weight k) (pow t.zs.(k) level)))
   done;
   Cx.re !acc
 
@@ -459,7 +313,7 @@ let tail_from t j0 ~weight =
   for k = 0 to Array.length t.zs - 1 do
     let term =
       Cx.div
-        (Cx.mul t.gammas.(k) (Cx.mul (weight k) (pow_z t k j0)))
+        (Cx.mul t.gammas.(k) (Cx.mul (weight k) (pow t.zs.(k) j0)))
         (Cx.sub Cx.one t.zs.(k))
     in
     acc := Cx.add !acc term
@@ -498,7 +352,7 @@ let mean_queue_length t =
   let acc = ref Cx.zero in
   for k = 0 to Array.length t.zs - 1 do
     let z = t.zs.(k) in
-    let zn = pow_z t k n in
+    let zn = pow t.zs.(k) n in
     let one_minus = Cx.sub Cx.one z in
     let numer =
       Cx.mul zn
@@ -592,14 +446,7 @@ let solve ?eig_tol ?max_iter q =
         solve_stages ?eig_tol ?max_iter q)
   in
   let wall = Span.now () -. t0 in
-  let params =
-    [
-      ("servers", Json.Int (Environment.servers (Qbd.env q)));
-      ("modes", Json.Int (Qbd.s q));
-      ("lambda", Json.Float (Qbd.lambda q));
-      ("mu", Json.Float (Qbd.mu q));
-    ]
-  in
+  let params = Qbd.ledger_params q in
   (match result with
   | Ok sol ->
       let resid = residual sol in

@@ -114,64 +114,70 @@ let step t pi =
   done;
   out
 
-let distribution_at t ~initial ~time =
+let initial_distribution t initial =
   check_initial t initial;
-  if time < 0.0 then invalid_arg "Transient: negative time";
-  let s = Qbd.s t.qbd in
   let pi0 = Array.make t.n_states 0.0 in
-  pi0.((initial.jobs * s) + initial.mode) <- 1.0;
+  pi0.((initial.jobs * Qbd.s t.qbd) + initial.mode) <- 1.0;
+  pi0
+
+(* Walk the uniformized chain πₙ = π₀Pⁿ for n = 0, 1, ..., calling
+   [f n w πₙ] with the Poisson(q·time) weight w = e^{−qt}(qt)ⁿ/n! *)
+let walk_series t ~time pi0 f =
+  let lam = t.q_rate *. time in
+  let v = ref pi0 in
+  let log_term = ref (-.lam) in
+  let n = ref 0 in
+  let continue_loop = ref true in
+  (* truncation-depth telemetry: one sample per Poisson term, with
+     the term weight as the residual figure; gated globally *)
+  let conv =
+    if Urs_obs.Convergence.recording () then
+      Some
+        (Urs_obs.Convergence.create ~solver:"uniformization"
+           ~label:(Printf.sprintf "transient t=%g states=%d" time t.n_states)
+           ())
+    else None
+  in
+  while !continue_loop do
+    let w = exp !log_term in
+    f !n w !v;
+    (match conv with
+    | None -> ()
+    | Some c -> Urs_obs.Convergence.observe c ~iteration:(!n + 1) ~residual:w ());
+    (* the Poisson weights peak at n ≈ lam and then decay
+       super-geometrically; once past the peak and below 1e-16 the
+       remaining tail is negligible (the weights sum to 1) *)
+    if (float_of_int !n > lam && w < 1e-16) || !n > 2_000_000 then
+      continue_loop := false
+    else begin
+      incr n;
+      log_term := !log_term +. log (lam /. float_of_int !n);
+      v := step t !v
+    end
+  done;
+  Option.iter
+    (fun c ->
+      ignore
+        (Urs_obs.Convergence.finish ~converged:(!n <= 2_000_000) c
+          : Urs_obs.Convergence.trace))
+    conv
+
+let distribution_at t ~initial ~time =
+  let pi0 = initial_distribution t initial in
+  if time < 0.0 then invalid_arg "Transient: negative time";
   if time = 0.0 then pi0
   else begin
-    let lam = t.q_rate *. time in
     let acc = Array.make t.n_states 0.0 in
-    let v = ref pi0 in
-    let log_term = ref (-.lam) in
-    let n = ref 0 in
-    let continue_loop = ref true in
-    (* truncation-depth telemetry: one sample per Poisson term, with
-       the term weight as the residual figure; gated globally *)
-    let conv =
-      if Urs_obs.Convergence.recording () then
-        Some
-          (Urs_obs.Convergence.create ~solver:"uniformization"
-             ~label:
-               (Printf.sprintf "transient t=%g states=%d" time t.n_states)
-             ())
-      else None
-    in
-    while !continue_loop do
-      let w = exp !log_term in
-      if w > 0.0 then
-        for st = 0 to t.n_states - 1 do
-          acc.(st) <- acc.(st) +. (w *. !v.(st))
-        done;
-      (match conv with
-      | None -> ()
-      | Some c ->
-          Urs_obs.Convergence.observe c ~iteration:(!n + 1) ~residual:w ());
-      (* the Poisson weights peak at n ≈ lam and then decay
-         super-geometrically; once past the peak and below 1e-16 the
-         remaining tail is negligible (the weights sum to 1) *)
-      if (float_of_int !n > lam && w < 1e-16) || !n > 2_000_000 then
-        continue_loop := false
-      else begin
-        incr n;
-        log_term := !log_term +. log (lam /. float_of_int !n);
-        v := step t !v
-      end
-    done;
-    Option.iter
-      (fun c ->
-        ignore
-          (Urs_obs.Convergence.finish ~converged:(!n <= 2_000_000) c
-            : Urs_obs.Convergence.trace))
-      conv;
+    walk_series t ~time pi0 (fun _ w v ->
+        if w > 0.0 then
+          for st = 0 to t.n_states - 1 do
+            acc.(st) <- acc.(st) +. (w *. v.(st))
+          done);
     acc
   end
 
-let mean_jobs_at t ~initial ~time =
+let mean_jobs t pi =
   let s = Qbd.s t.qbd in
-  let pi = distribution_at t ~initial ~time in
   let acc = ref 0.0 in
   for j = 1 to t.levels do
     for i = 0 to s - 1 do
@@ -179,6 +185,33 @@ let mean_jobs_at t ~initial ~time =
     done
   done;
   !acc
+
+let mean_jobs_at t ~initial ~time =
+  mean_jobs t (distribution_at t ~initial ~time)
+
+(* (1/T)∫₀ᵀ π(u) du = Σₙ P(N_{qT} > n)/(qT) · πₙ, since
+   ∫₀ᵀ e^{−qu}(qu)ⁿ/n! du = P(N_{qT} > n)/q; one walk to the longest
+   horizon serves every shorter one *)
+let mean_jobs_averages t ~initial ~times =
+  let pi0 = initial_distribution t initial in
+  if List.exists (fun time -> time < 0.0) times then
+    invalid_arg "Transient: negative time";
+  let lams = Array.of_list (List.map (fun time -> t.q_rate *. time) times) in
+  let log_w = Array.map (fun lam -> -.lam) lams in
+  let cdf = Array.make (Array.length lams) 0.0 in
+  let sums = Array.make (Array.length lams) 0.0 in
+  walk_series t ~time:(List.fold_left Float.max 0.0 times) pi0 (fun n _ v ->
+      let m = mean_jobs t v in
+      Array.iteri
+        (fun k lam ->
+          if lam > 0.0 then begin
+            if n > 0 then log_w.(k) <- log_w.(k) +. log (lam /. float_of_int n);
+            cdf.(k) <- cdf.(k) +. exp log_w.(k);
+            sums.(k) <- sums.(k) +. (Float.max 0.0 (1.0 -. cdf.(k)) /. lam *. m)
+          end)
+        lams);
+  List.mapi (fun k lam -> if lam > 0.0 then sums.(k) else mean_jobs t pi0)
+    (Array.to_list lams)
 
 let mean_operative_at t ~initial ~time =
   let env = Qbd.env t.qbd in
@@ -194,18 +227,6 @@ let mean_operative_at t ~initial ~time =
     done
   done;
   !acc
-
-let level_probability_at t ~initial ~time j =
-  if j < 0 || j > t.levels then 0.0
-  else begin
-    let s = Qbd.s t.qbd in
-    let pi = distribution_at t ~initial ~time in
-    let acc = ref 0.0 in
-    for i = 0 to s - 1 do
-      acc := !acc +. pi.((j * s) + i)
-    done;
-    !acc
-  end
 
 let relaxation_profile t ~initial ~times =
   List.map (fun time -> (time, mean_jobs_at t ~initial ~time)) times

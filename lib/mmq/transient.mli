@@ -38,9 +38,16 @@ val distribution_at : t -> initial:state -> time:float -> float array
     (one sample per term, the term weight as the residual). *)
 
 val mean_jobs_at : t -> initial:state -> time:float -> float
-val mean_operative_at : t -> initial:state -> time:float -> float
 
-val level_probability_at : t -> initial:state -> time:float -> int -> float
+val mean_jobs_averages :
+  t -> initial:state -> times:float list -> float list
+(** [(1/T)∫₀ᵀ L(u) du] for each [T] in [times] ([L(0)] for [T = 0]):
+    the mean number of jobs averaged over [[0, T]], which is what a
+    simulation's time-averaged trajectory estimates. One uniformization
+    walk to the longest horizon, with each Poisson weight replaced by
+    its tail probability. *)
+
+val mean_operative_at : t -> initial:state -> time:float -> float
 
 val relaxation_profile :
   t -> initial:state -> times:float list -> (float * float) list

@@ -8,13 +8,17 @@
       "git_rev": "<short rev or unknown>",
       "ocaml": "<Sys.ocaml_version>",
       "jobs": <pool width the bench ran with>,
+      "host": {"hostname": "...", "cpu_model": "...", "cpus": <online>}
+              or null,
       "sections": {"<bench section>": <wall seconds>, ...},
       "solvers": {"<solver>": {"seconds": <per-solve wall>,
                                "minor_words": <per-solve minor alloc>,
                                "promoted_words": ...,
                                "major_words": ...}, ...}}
    Unknown extra fields are ignored on read so the schema can grow
-   backward-compatibly; a bumped "schema" tag is rejected. *)
+   backward-compatibly; a bumped "schema" tag is rejected. Rows written
+   before "host" existed (or with a malformed one) read as host
+   unknown. *)
 
 let schema = "urs-perf/1"
 
@@ -25,14 +29,37 @@ type solver_stat = {
   major_words : float;
 }
 
+type host = { hostname : string; cpu_model : string; cpus : int }
+
 type entry = {
   time : float;
   git_rev : string;
   ocaml : string;
   jobs : int;
+  host : host option;
   sections : (string * float) list;  (* section name -> wall seconds *)
   solvers : (string * solver_stat) list;
 }
+
+let host_to_json = function
+  | None -> Json.Null
+  | Some h ->
+      Json.Obj
+        [
+          ("hostname", Json.String h.hostname);
+          ("cpu_model", Json.String h.cpu_model);
+          ("cpus", Json.Int h.cpus);
+        ]
+
+let host_of_json j =
+  match
+    ( Option.bind (Json.member "hostname" j) Json.to_string_opt,
+      Option.bind (Json.member "cpu_model" j) Json.to_string_opt,
+      Json.member "cpus" j )
+  with
+  | Some hostname, Some cpu_model, Some (Json.Int cpus) ->
+      Some { hostname; cpu_model; cpus }
+  | _ -> None
 
 let entry_to_json e =
   Json.Obj
@@ -42,6 +69,7 @@ let entry_to_json e =
       ("git_rev", Json.String e.git_rev);
       ("ocaml", Json.String e.ocaml);
       ("jobs", Json.Int e.jobs);
+      ("host", host_to_json e.host);
       ( "sections",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) e.sections) );
       ( "solvers",
@@ -113,7 +141,8 @@ let entry_of_json j =
              kvs)
     | _ -> Error "missing \"solvers\" object"
   in
-  Ok { time; git_rev; ocaml; jobs; sections; solvers }
+  let host = Option.bind (Json.member "host" j) host_of_json in
+  Ok { time; git_rev; ocaml; jobs; host; sections; solvers }
 
 let append path e =
   let oc =
@@ -156,6 +185,32 @@ let git_rev () =
       | Unix.WEXITED 0 when line <> "" -> line
       | _ | (exception _) -> "unknown")
 
+let current_host () =
+  let lines =
+    try
+      String.split_on_char '\n'
+        (In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all)
+    with Sys_error _ -> []
+  in
+  (* "key<tabs>: value" lines *)
+  let value key =
+    List.find_map
+      (fun l ->
+        match String.index_opt l ':' with
+        | Some i when String.trim (String.sub l 0 i) = key ->
+            Some (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+        | _ -> None)
+      lines
+  in
+  let cpus =
+    List.length (List.filter (String.starts_with ~prefix:"processor") lines)
+  in
+  {
+    hostname = Unix.gethostname ();
+    cpu_model = Option.value ~default:"unknown" (value "model name");
+    cpus = (if cpus > 0 then cpus else Domain.recommended_domain_count ());
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Trend analysis. *)
 
@@ -166,6 +221,8 @@ type trend = {
   latest_seconds : float;
   ratio : float;  (* latest_seconds /. best_seconds *)
   latest_minor_words : float;
+  best_host : host option;  (* host of the best-known run *)
+  latest_host : host option;
   gated : bool;  (* counted towards the exit-1 breach decision *)
   breach : bool;  (* gated && ratio > max_ratio *)
 }
@@ -173,6 +230,7 @@ type trend = {
 type report = {
   entries : int;
   max_ratio : float;
+  host : host option;  (* host of the latest entry *)
   trends : trend list;  (* sorted by solver name *)
   section_runs : (string * float list) list;  (* wall times, input order *)
   breaches : string list;  (* solvers in breach *)
@@ -188,18 +246,25 @@ let analyze ?(max_ratio = 2.0) ?(gate = default_gate) entries =
   let trends =
     List.map
       (fun name ->
-        let runs =
+        let hosted =
           List.filter_map
             (fun e ->
-              Option.map (fun s -> (e.time, s)) (List.assoc_opt name e.solvers))
+              Option.map (fun s -> (e.time, s, e.host))
+                (List.assoc_opt name e.solvers))
             entries
         in
+        let runs = List.map (fun (time, s, _) -> (time, s)) hosted in
         let seconds = List.map (fun (_, s) -> s.seconds) runs in
         let best_seconds = List.fold_left min infinity seconds in
-        let latest_seconds, latest_minor_words =
-          match List.rev runs with
-          | (_, s) :: _ -> (s.seconds, s.minor_words)
-          | [] -> (nan, nan)
+        let best_host =
+          Option.bind
+            (List.find_opt (fun (_, s, _) -> s.seconds = best_seconds) hosted)
+            (fun (_, _, h) -> h)
+        in
+        let latest_seconds, latest_minor_words, latest_host =
+          match List.rev hosted with
+          | (_, s, h) :: _ -> (s.seconds, s.minor_words, h)
+          | [] -> (nan, nan, None)
         in
         let ratio =
           if best_seconds > 0.0 && Float.is_finite best_seconds then
@@ -214,6 +279,8 @@ let analyze ?(max_ratio = 2.0) ?(gate = default_gate) entries =
           latest_seconds;
           ratio;
           latest_minor_words;
+          best_host;
+          latest_host;
           gated;
           breach = gated && Float.is_finite ratio && ratio > max_ratio;
         })
@@ -232,6 +299,8 @@ let analyze ?(max_ratio = 2.0) ?(gate = default_gate) entries =
   {
     entries = List.length entries;
     max_ratio;
+    host =
+      (match List.rev entries with e :: _ -> e.host | [] -> None);
     trends;
     section_runs;
     breaches =
@@ -255,6 +324,23 @@ let si_seconds s =
   else if s >= 1e-3 then Printf.sprintf "%.3fms" (s *. 1e3)
   else Printf.sprintf "%.1fus" (s *. 1e6)
 
+let host_label = function
+  | None -> "unknown"
+  | Some h -> Printf.sprintf "%s (%s, %d cpus)" h.hostname h.cpu_model h.cpus
+
+(* Some true when the best-known and the latest run come from different
+   hosts, None when either host is unknown *)
+let cross_host t =
+  match (t.best_host, t.latest_host) with
+  | Some b, Some l -> Some (b <> l)
+  | _ -> None
+
+let host_cell t =
+  match (cross_host t, t.best_host) with
+  | Some true, Some b -> "CROSS (best on " ^ b.hostname ^ ")"
+  | Some false, _ -> "same"
+  | _ -> "unknown"
+
 let trend_cells t =
   let spark =
     String.concat " "
@@ -271,6 +357,7 @@ let trend_cells t =
     (if Float.is_nan t.ratio then "-" else Printf.sprintf "%.2fx" t.ratio);
     si_words t.latest_minor_words;
     (if t.breach then "BREACH" else if t.gated then "ok" else "-");
+    host_cell t;
     spark;
     alloc_spark;
   ]
@@ -278,7 +365,7 @@ let trend_cells t =
 let header_cells =
   [
     "solver"; "runs"; "best"; "latest"; "ratio"; "alloc/solve"; "gate";
-    "trend (s)"; "trend (alloc)";
+    "host"; "trend (s)"; "trend (alloc)";
   ]
 
 let render_table r =
@@ -293,6 +380,7 @@ let render_table r =
   Buffer.add_string buf
     (Printf.sprintf "perf report: %d entries, gate ratio %.2fx\n" r.entries
        r.max_ratio);
+  Buffer.add_string buf ("latest host: " ^ host_label r.host ^ "\n");
   List.iteri
     (fun ri cells ->
       List.iteri
@@ -334,6 +422,7 @@ let render_markdown r =
   Buffer.add_string buf
     (Printf.sprintf "## Perf report (%d entries, gate %.2fx)\n\n" r.entries
        r.max_ratio);
+  Buffer.add_string buf ("latest host: " ^ host_label r.host ^ "\n\n");
   Buffer.add_string buf ("| " ^ String.concat " | " header_cells ^ " |\n");
   Buffer.add_string buf
     ("|" ^ String.concat "|" (List.map (fun _ -> "---") header_cells) ^ "|\n");
@@ -355,6 +444,7 @@ let report_json r =
       ("schema", Json.String "urs-report/1");
       ("entries", Json.Int r.entries);
       ("max_ratio", Json.Float r.max_ratio);
+      ("latest_host", host_to_json r.host);
       ( "solvers",
         Json.Obj
           (List.map
@@ -369,6 +459,12 @@ let report_json r =
                      ("latest_minor_words", Json.Float t.latest_minor_words);
                      ("gated", Json.Bool t.gated);
                      ("breach", Json.Bool t.breach);
+                     ("best_host", host_to_json t.best_host);
+                     ("latest_host", host_to_json t.latest_host);
+                     ( "cross_host",
+                       match cross_host t with
+                       | Some b -> Json.Bool b
+                       | None -> Json.Null );
                      ( "seconds",
                        Json.List
                          (List.map

@@ -8,6 +8,8 @@
      "git_rev": "<short git revision, or "unknown">",
      "ocaml": "<Sys.ocaml_version>",
      "jobs": <URS_JOBS pool width the bench ran with>,
+     "host": {"hostname": "...", "cpu_model": "...", "cpus": <online CPUs>}
+             or null,
      "sections": {"<section>": <wall seconds>, ...},
      "solvers": {"<solver>": {"seconds": <wall seconds per solve>,
                               "minor_words": <minor words per solve>,
@@ -15,7 +17,9 @@
                               "major_words": <...>}, ...}}
     v}
     Extra fields are ignored on read (the schema can grow
-    backward-compatibly); an unknown ["schema"] tag is an error.
+    backward-compatibly); an unknown ["schema"] tag is an error. A null
+    or missing ["host"] (every row written before it existed) reads as
+    host unknown.
     {!append} never truncates — [make bench] only ever adds lines. *)
 
 val schema : string
@@ -28,11 +32,18 @@ type solver_stat = {
   major_words : float;
 }
 
+type host = {
+  hostname : string;
+  cpu_model : string;  (** ["model name"] of /proc/cpuinfo *)
+  cpus : int;  (** online CPUs *)
+}
+
 type entry = {
   time : float;
   git_rev : string;
   ocaml : string;
   jobs : int;
+  host : host option;  (** [None]: host unknown *)
   sections : (string * float) list;
   solvers : (string * solver_stat) list;
 }
@@ -52,6 +63,11 @@ val read_file : string -> (entry list, string) result
 val git_rev : unit -> string
 (** Short revision of HEAD, or ["unknown"] outside a git checkout. *)
 
+val current_host : unit -> host
+(** This machine: hostname, the first ["model name"] of /proc/cpuinfo
+    (["unknown"] where there is none) and its processor count
+    ({!Domain.recommended_domain_count} where the file is missing). *)
+
 (** {1 Trend analysis} *)
 
 type trend = {
@@ -62,6 +78,8 @@ type trend = {
   latest_seconds : float;
   ratio : float;  (** [latest_seconds /. best_seconds] *)
   latest_minor_words : float;
+  best_host : host option;  (** host of the best-known run *)
+  latest_host : host option;
   gated : bool;  (** participates in the breach decision *)
   breach : bool;  (** [gated] and [ratio > max_ratio] *)
 }
@@ -69,6 +87,7 @@ type trend = {
 type report = {
   entries : int;
   max_ratio : float;
+  host : host option;  (** host of the latest entry *)
   trends : trend list;  (** sorted by solver name *)
   section_runs : (string * float list) list;
   breaches : string list;
@@ -81,11 +100,15 @@ val analyze : ?max_ratio:float -> ?gate:string list -> entry list -> report
     simulation engine's seconds-per-event; the others are too fast for
     wall-clock ratios to be stable) breaches when its latest run exceeds
     [max_ratio] (default [2.0]) times its best-known run. [urs report]
-    exits nonzero iff [breaches] is non-empty. *)
+    exits nonzero iff [breaches] is non-empty. Hosts do not enter the
+    decision; the renderings show them and mark a trend whose latest
+    and best-known runs come from different hosts. *)
 
 val render_table : report -> string
-(** Human-readable fixed-width table (solver rows: runs, best, latest,
-    ratio, alloc-per-solve, gate status, and the full trend). *)
+(** Human-readable fixed-width table: the latest entry's host, then
+    solver rows (runs, best, latest, ratio, alloc-per-solve, gate
+    status, [same] / [CROSS] / [unknown] host comparison of the latest
+    and best-known runs, and the full trend). *)
 
 val render_markdown : report -> string
 

@@ -389,6 +389,28 @@ let test_slo_stage () =
             c.Urs.Doctor.detail)
     checks
 
+let test_warmup_stage_ok () =
+  (* the doctor's own warm-up stage on the N=5 paper model (seed 11, 16
+     replications, horizon 2000): the sim trajectory must sit on the
+     uniformization expectation. L(t) at a bucket midpoint overstates the
+     bucket's time average on the concave ramp, and a single 10-unit
+     bucket of 16 replications has a standard error of 5-25% of L, which
+     a 0.35 relative band does not absorb *)
+  let sim = { Urs.Solver.duration = 30_000.0; replications = 5; seed = 7 } in
+  let checks =
+    Urs.Doctor.check_warmup ~sim (Urs.Doctor.paper_model ~servers:5 ~lambda:4.0)
+  in
+  Alcotest.(check int) "warmup and transient checks" 2 (List.length checks);
+  List.iter
+    (fun (c : Urs.Doctor.check) ->
+      match c.Urs.Doctor.verdict with
+      | Diagnostics.Ok -> ()
+      | v ->
+          Alcotest.failf "%s: %s (%s)" c.Urs.Doctor.name
+            (Format.asprintf "%a" Diagnostics.pp_verdict v)
+            c.Urs.Doctor.detail)
+    checks
+
 let () =
   Alcotest.run "urs_doctor"
     [
@@ -419,5 +441,7 @@ let () =
           Alcotest.test_case "no-convergence escalation" `Quick
             test_no_convergence_escalation;
           Alcotest.test_case "slo stage drills" `Quick test_slo_stage;
+          Alcotest.test_case "warm-up stage Ok on the paper model" `Quick
+            test_warmup_stage_ok;
         ] );
     ]

@@ -489,6 +489,31 @@ let test_transient_unstable_queue_grows () =
   let l30 = Transient.mean_jobs_at t ~initial:init ~time:30.0 in
   Alcotest.(check bool) "unbounded growth" true (l30 > l10 +. 20.0)
 
+let test_transient_time_average () =
+  (* the exact time averages over [0, t] against Simpson's rule on L(u) *)
+  let env = paper_env ~servers:3 in
+  let q = Qbd.create ~env ~lambda:2.0 ~mu:1.0 in
+  let t = transient_exn q in
+  let init = Transient.empty_all_operative t in
+  let simpson horizon =
+    let k = 20 in
+    let h = horizon /. float_of_int k in
+    let acc = ref 0.0 in
+    for i = 0 to k do
+      let c = if i = 0 || i = k then 1.0 else if i land 1 = 1 then 4.0 else 2.0 in
+      acc :=
+        !acc
+        +. c *. Transient.mean_jobs_at t ~initial:init ~time:(float_of_int i *. h)
+    done;
+    !acc /. (3.0 *. float_of_int k)
+  in
+  match Transient.mean_jobs_averages t ~initial:init ~times:[ 0.0; 1.0; 4.0 ] with
+  | [ a0; a1; a4 ] ->
+      check_float ~tol:1e-12 "average at 0 is L(0)" 0.0 a0;
+      check_float ~tol:1e-5 "average over [0, 1]" (simpson 1.0) a1;
+      check_float ~tol:1e-5 "average over [0, 4]" (simpson 4.0) a4
+  | _ -> Alcotest.fail "one average per horizon"
+
 (* ---- limited repair crews (beyond the paper) ---- *)
 
 let crews_env ~crews =
@@ -970,6 +995,185 @@ let test_banded_det_matches_dense () =
         (Qbd.det_q_scaled q z))
     [ 0.05; 0.3; 0.5; 0.7; 0.9; 0.99 ]
 
+(* ---- matrix-geometric boundary in real arithmetic ---- *)
+
+(* L, W, then P(J = j) for j = 0..N, as the matrix-geometric solver
+   computed them when it lifted the boundary blocks to complex and
+   factored them with the complex LU *)
+let mg_complex_pinned =
+  [
+    ( "paper N=1", 1.7778974028841303, 2.7811742710999137,
+      [| 0.35998762580937393; 0.23039505301119287 |] );
+    ( "paper N=2", 2.1675709522640307, 1.6953713283570013,
+      [| 0.21970437531692816; 0.28089742208533769; 0.17977668150065151 |] );
+    ( "paper N=5", 3.7103833421971113, 1.1608344407834021,
+      [| 0.037274914784443058; 0.11914207404518293; 0.19040732742027983; 0.20286676393945241; 0.16210664497895722; 0.10374937358408545 |] );
+    ( "paper N=10", 6.6459969602403657, 1.0396368047809879,
+      [| 0.0016210079466702594; 0.010362478354511056; 0.033121662934559704; 0.070578003833932534; 0.11279448668589653; 0.14421032656770166; 0.1536468292896126; 0.1403149852451987; 0.11212244772888018; 0.079640024992416694; 0.05097003484513464 |] );
+    ( "erlang", 3.051577356044445, 1.5257886780222225,
+      [| 0.10695142673881186; 0.21390499824356238; 0.21406369026037186; 0.14632608261729182 |] );
+    ( "coxian", 2.9644431556326283, 1.4822215778163141,
+      [| 0.10916464891907968; 0.21832952696117314; 0.21836573801831632; 0.14730768613226408 |] );
+    ( "crews", 2.1639458270572152, 1.0819729135286076,
+      [| 0.13045311887372646; 0.26093260466992668; 0.26129657426096176; 0.17582287726477602; 0.091506813286198904; 0.041526656205464835; 0.01868615849810535 |] );
+  ]
+
+let test_mg_matches_complex_path () =
+  List.iter
+    (fun (name, q) ->
+      let l, w, levels =
+        match
+          List.find_opt (fun (n, _, _, _) -> n = name) mg_complex_pinned
+        with
+        | Some (_, l, w, levels) -> (l, w, levels)
+        | None -> Alcotest.failf "no pinned values for %s" name
+      in
+      let mg =
+        match Matrix_geometric.solve q with
+        | Ok m -> m
+        | Error e -> Alcotest.failf "%s: %a" name Matrix_geometric.pp_error e
+      in
+      check_rel ~tol:1e-10 (name ^ " L") l
+        (Matrix_geometric.mean_queue_length mg);
+      check_rel ~tol:1e-10 (name ^ " W") w
+        (Matrix_geometric.mean_response_time mg);
+      Array.iteri
+        (fun j p ->
+          check_rel ~tol:1e-10
+            (Printf.sprintf "%s P(J=%d)" name j)
+            p
+            (Matrix_geometric.level_probability mg j))
+        levels)
+    (banded_models ())
+
+(* ---- cross-oracle property: spectral, matrix-geometric, truncated ----
+
+   Spectral and matrix-geometric share the boundary elimination, so the
+   independent referee is the truncated chain, which shares no code with
+   either. Small random models: N <= 3, exp / H2 / Erlang / Coxian
+   operative periods of mean [up], exponential repairs of mean [down],
+   optional repair crews, load 0.1-0.8. *)
+
+type oracle_model = {
+  servers : int;
+  family : int; (* 0 exp, 1 H2, 2 Erlang-2, 3 Coxian-2 *)
+  up : float;
+  shape : float; (* H2 fast-phase weight; Coxian continuation *)
+  down : float;
+  crews : int; (* 0: one per server *)
+  load : float;
+}
+
+let print_oracle_model m =
+  Printf.sprintf "N=%d %s up=%g shape=%g down=%g crews=%d load=%g" m.servers
+    [| "exp"; "h2"; "erlang2"; "coxian2" |].(m.family)
+    m.up m.shape m.down m.crews m.load
+
+let gen_oracle_model =
+  QCheck2.Gen.(
+    let* servers = int_range 1 3 in
+    let* family = int_range 0 3 in
+    let* up = float_range 5.0 40.0 in
+    let* shape = float_range 0.2 0.8 in
+    let* down = float_range 0.5 4.0 in
+    let* crews = int_range 0 (servers - 1) in
+    let* load = float_range 0.1 0.8 in
+    return { servers; family; up; shape; down; crews; load })
+
+let oracle_qbd m =
+  let module PT = Urs_prob.Phase_type in
+  let operative =
+    match m.family with
+    | 0 -> PT.of_hyperexponential (exp_dist (1.0 /. m.up))
+    | 1 ->
+        (* a quarter of the mean in the fast phase *)
+        let p = m.shape in
+        PT.of_hyperexponential
+          (H.of_pairs
+             [ (p, 4.0 *. p /. m.up); (1.0 -. p, 4.0 *. (1.0 -. p) /. (3.0 *. m.up)) ])
+    | 2 -> PT.of_erlang (Urs_prob.Erlang.create ~k:2 ~rate:(2.0 /. m.up))
+    | _ ->
+        let a = 2.0 /. m.up and b = 2.0 *. m.shape /. m.up in
+        PT.create ~alpha:[| 1.0; 0.0 |]
+          ~t_matrix:(M.of_arrays [| [| -.a; a *. m.shape |]; [| 0.0; -.b |] |])
+  in
+  let env =
+    Environment.create_ph
+      ?repair_crews:(if m.crews = 0 then None else Some m.crews)
+      ~servers:m.servers ~operative
+      ~inoperative:(PT.of_hyperexponential (exp_dist (1.0 /. m.down)))
+      ()
+  in
+  Qbd.create ~env ~lambda:(m.load *. Environment.mean_operative_servers env)
+    ~mu:1.0
+
+(* dense solves of the truncated chain above this are skipped *)
+let oracle_state_limit = 1500
+
+let oracle_skipped = ref 0
+
+let prop_three_oracles_agree =
+  QCheck2.Test.make ~name:"spectral = matrix-geometric = truncated" ~count:100
+    ~print:print_oracle_model gen_oracle_model (fun m ->
+      let q = oracle_qbd m in
+      let sp = solve_exn q in
+      (* P(J = j) decays like z_s^j: 1e-14 leaves the truncated level
+         well under 1e-12 *)
+      let levels =
+        m.servers
+        + int_of_float
+            (ceil (log 1e-14 /. log (Spectral.dominant_eigenvalue sp)))
+      in
+      if Qbd.s q * (levels + 1) > oracle_state_limit then begin
+        incr oracle_skipped;
+        true
+      end
+      else begin
+        let tr =
+          match Truncated.solve ~levels ~state_limit:oracle_state_limit q with
+          | Ok t -> t
+          | Error e -> QCheck2.Test.fail_reportf "%a" Truncated.pp_error e
+        in
+        let mg =
+          match Matrix_geometric.solve q with
+          | Ok t -> t
+          | Error e -> QCheck2.Test.fail_reportf "%a" Matrix_geometric.pp_error e
+        in
+        let agree what a b =
+          if abs_float (a -. b) > 1e-8 *. Float.max 1.0 (abs_float a) then
+            QCheck2.Test.fail_reportf "%s: %.17g vs %.17g" what a b
+        in
+        if Truncated.truncation_mass tr >= 1e-12 then
+          QCheck2.Test.fail_reportf "truncation mass %.2e at %d levels"
+            (Truncated.truncation_mass tr) levels;
+        let l = Truncated.mean_queue_length tr in
+        agree "spectral L" l (Spectral.mean_queue_length sp);
+        agree "mg L" l (Matrix_geometric.mean_queue_length mg);
+        let mg_mass = ref 0.0 in
+        for j = 0 to levels do
+          let p = Truncated.level_probability tr j in
+          agree (Printf.sprintf "spectral P(J=%d)" j) p
+            (Spectral.level_probability sp j);
+          agree (Printf.sprintf "mg P(J=%d)" j) p
+            (Matrix_geometric.level_probability mg j);
+          mg_mass := !mg_mass +. Matrix_geometric.level_probability mg j
+        done;
+        agree "spectral mass" 0.0 (Spectral.mass_defect sp);
+        agree "mg mass" 1.0 !mg_mass;
+        (* Little's law on the servers: busy servers = λ/µ *)
+        agree "little" (Qbd.lambda q) (Spectral.mean_busy_servers sp);
+        true
+      end)
+
+let test_three_oracles_agree () =
+  oracle_skipped := 0;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 15 |])
+    prop_three_oracles_agree;
+  (* the generator's ranges must keep most models within the dense
+     budget, or the property checks little *)
+  if !oracle_skipped > 25 then
+    Alcotest.failf "%d of 100 random models skipped" !oracle_skipped
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "urs_mmq"
@@ -1043,6 +1247,8 @@ let () =
             test_transient_distribution_normalized;
           Alcotest.test_case "operative relaxation" `Quick
             test_transient_operative_relaxation;
+          Alcotest.test_case "time average matches quadrature" `Quick
+            test_transient_time_average;
           Alcotest.test_case "unstable queue grows" `Quick
             test_transient_unstable_queue_grows;
         ] );
@@ -1091,6 +1297,8 @@ let () =
           Alcotest.test_case "agreement sweep vs spectral" `Quick
             test_mg_agreement_sweep;
           Alcotest.test_case "mode marginals" `Quick test_mg_mode_marginals;
+          Alcotest.test_case "boundary matches pinned complex path" `Quick
+            test_mg_matches_complex_path;
         ] );
       ( "truncated oracle",
         [
@@ -1114,5 +1322,9 @@ let () =
             prop_spectral_consistency;
             prop_spectral_equals_mg;
             prop_geometric_upper_bound_heavyish;
+          ]
+        @ [
+            Alcotest.test_case "spectral = matrix-geometric = truncated"
+              `Quick test_three_oracles_agree;
           ] );
     ]

@@ -1552,12 +1552,13 @@ let perf_stat ?(seconds = 0.01) ?(minor = 1e5) () =
     major_words = 2e4;
   }
 
-let perf_entry ?(time = 1000.0) ?(spectral = 0.01) () =
+let perf_entry ?(time = 1000.0) ?(spectral = 0.01) ?host () =
   {
     Perf.time;
     git_rev = "abc1234";
     ocaml = "5.1.1";
     jobs = 1;
+    host;
     sections = [ ("n5", 1.5) ];
     solvers =
       [
@@ -1678,6 +1679,62 @@ let test_perf_renderings () =
   check_contains "gnuplot row" data "0 1 0.01 100000";
   (* two solvers -> two index blocks separated by a double blank line *)
   Alcotest.(check int) "block separator" 1 (count_sub data "\n\n\n")
+
+let test_perf_hosts () =
+  let a = { Perf.hostname = "a"; cpu_model = "cpu A"; cpus = 2 } in
+  let b = { a with Perf.hostname = "b" } in
+  (* the host survives a JSON round trip; a committed row without the
+     field reads as host unknown *)
+  (match Perf.entry_of_json (Perf.entry_to_json (perf_entry ~host:a ())) with
+  | Ok e -> Alcotest.(check bool) "host round trip" true (e.Perf.host = Some a)
+  | Error msg -> Alcotest.fail msg);
+  (match
+     Result.bind
+       (Json.of_string
+          {|{"schema":"urs-perf/1","time":1,"git_rev":"d9dd166","ocaml":"5.1.1","jobs":1,"sections":{},"solvers":{}}|})
+       Perf.entry_of_json
+   with
+  | Ok e -> Alcotest.(check bool) "old row: host unknown" true (e.Perf.host = None)
+  | Error msg -> Alcotest.fail msg);
+  let report best_host latest_host =
+    Perf.analyze
+      [
+        perf_entry ~time:1.0 ~spectral:0.01 ?host:best_host ();
+        perf_entry ~time:2.0 ~spectral:0.025 ?host:latest_host ();
+      ]
+  in
+  let spectral r = List.find (fun t -> t.Perf.solver = "spectral") r.Perf.trends in
+  (* hosts are reported, never part of the decision *)
+  List.iter
+    (fun (label, best, latest, cell, cross) ->
+      let r = report best latest in
+      Alcotest.(check (list string)) (label ^ ": breach") [ "spectral" ]
+        r.Perf.breaches;
+      Alcotest.(check bool) (label ^ ": best host") true
+        ((spectral r).Perf.best_host = best);
+      let table = Perf.render_table r in
+      check_contains (label ^ ": table cell") table cell;
+      check_contains (label ^ ": markdown cell") (Perf.render_markdown r) cell;
+      match Json.of_string (Perf.render_json r) with
+      | Error e -> Alcotest.fail e
+      | Ok j -> (
+          match
+            Option.bind (Json.member "solvers" j) (fun s ->
+                Option.bind (Json.member "spectral" s) (Json.member "cross_host"))
+          with
+          | Some v ->
+              Alcotest.(check bool) (label ^ ": json cross_host") true (v = cross)
+          | None -> Alcotest.fail "json cross_host missing"))
+    [
+      ("same host", Some a, Some a, "same", Json.Bool false);
+      ("cross host", Some a, Some b, "CROSS (best on a)", Json.Bool true);
+      ("unknown host", None, Some a, "unknown", Json.Null);
+    ];
+  check_contains "latest host line"
+    (Perf.render_table (report (Some a) (Some b)))
+    "latest host: b (cpu A, 2 cpus)";
+  let here = Perf.current_host () in
+  Alcotest.(check bool) "this machine has a cpu count" true (here.Perf.cpus >= 1)
 
 let test_perf_ledger_digest () =
   let mk kind wall =
@@ -2675,6 +2732,7 @@ let gate_history solver base injected =
         git_rev = "r" ^ string_of_int i;
         ocaml = "5.1.1";
         jobs = 1;
+        host = None;
         sections = [];
         solvers =
           [
@@ -2871,6 +2929,7 @@ let () =
           Alcotest.test_case "analyze and breach" `Quick
             test_perf_analyze_breach;
           Alcotest.test_case "renderings" `Quick test_perf_renderings;
+          Alcotest.test_case "host identity" `Quick test_perf_hosts;
           Alcotest.test_case "ledger digest" `Quick test_perf_ledger_digest;
         ] );
       ( "convergence",
